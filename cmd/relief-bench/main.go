@@ -101,13 +101,7 @@ var experiments = map[string]generator{
 	"dram":     one(exp.DRAMStudy),
 	"energy":   one(exp.EnergyStudy),
 	"faults":   one(exp.FaultStudy),
-	"scaling": func(*exp.Sweep) ([]*exp.Table, error) {
-		t, err := exp.ScalingStudy()
-		if err != nil {
-			return nil, err
-		}
-		return []*exp.Table{t}, nil
-	},
+	"scaling":  one(exp.ScalingStudy),
 	"periodic": func(*exp.Sweep) ([]*exp.Table, error) {
 		t, err := exp.PeriodicStudy()
 		if err != nil {

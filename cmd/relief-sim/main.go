@@ -25,11 +25,9 @@ import (
 	"relief/internal/exp"
 	"relief/internal/fault"
 	"relief/internal/metrics"
-	"relief/internal/predict"
 	"relief/internal/sim"
 	"relief/internal/trace"
 	"relief/internal/workload"
-	"relief/internal/xbar"
 )
 
 func main() {
@@ -42,7 +40,7 @@ func main() {
 	noFwd := flag.Bool("no-forwarding", false, "disable forwarding hardware")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON timeline to this file")
 	statsOut := flag.String("stats-out", "", "write gem5-style statistics to this file")
-	platformFile := flag.String("platform", "", "JSON platform spec (overrides -topology/-bw/-no-forwarding)")
+	platformFile := flag.String("platform", "", "JSON platform spec (replaces -topology/-bw/-predict-dm/-no-forwarding)")
 	faultRate := flag.Float64("faults", 0, "fault-injection rate in [0,1] (0 = off); see docs/FAULTS.md")
 	faultSeed := flag.Int64("fault-seed", 1, "fault-injection PRNG seed")
 	metricsOut := flag.String("metrics", "", "collect telemetry and write <prefix>.csv, <prefix>.json, <prefix>.prom")
@@ -66,20 +64,21 @@ func main() {
 		fatal(fmt.Errorf("fault rate %v outside [0,1]", *faultRate))
 	}
 	sc := exp.Scenario{
-		Mix:               apps,
-		Contention:        workload.Contention(len(apps)),
-		Policy:            *policy,
-		BWPredictor:       *bw,
-		DisableForwarding: *noFwd,
+		Mix:        apps,
+		Contention: workload.Contention(len(apps)),
+		Policy:     *policy,
+		Platform: exp.PlatformSpec{
+			Topology:          *topo,
+			BWPredictor:       *bw,
+			PredictDM:         *dm,
+			DisableForwarding: *noFwd,
+		},
 	}
 	if *faultRate > 0 {
 		sc.Faults = fault.Profile(*faultRate, *faultSeed)
 	}
 	if *continuous {
 		sc.Contention = workload.Continuous
-	}
-	if *dm {
-		sc.DM = predict.DMPredict
 	}
 	var rec *trace.Recorder
 	if *traceOut != "" {
@@ -97,19 +96,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		spec, err := exp.LoadPlatform(f)
+		sc.Platform, err = exp.LoadPlatform(f)
 		f.Close()
 		if err != nil {
 			fatal(err)
 		}
-		sc.Platform = spec
-	}
-	switch *topo {
-	case "bus":
-	case "xbar":
-		sc.Topology = xbar.Crossbar
-	default:
-		fatal(fmt.Errorf("unknown topology %q", *topo))
 	}
 	if *period > 0 {
 		sc.Period = sim.Time(period.Nanoseconds()) * sim.Nanosecond

@@ -66,7 +66,7 @@ func TestAllGeneratorsEndToEnd(t *testing.T) {
 	add("dram", tbl, err)
 	tbl, err = EnergyStudy(s)
 	add("energy", tbl, err)
-	tbl, err = ScalingStudy()
+	tbl, err = ScalingStudy(s)
 	add("scaling", tbl, err)
 
 	for _, tbl := range tables {

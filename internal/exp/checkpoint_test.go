@@ -11,7 +11,6 @@ import (
 	"relief/internal/metrics"
 	"relief/internal/sim"
 	"relief/internal/workload"
-	"relief/internal/xbar"
 )
 
 // periodicScenario is the checkpoint test grid's base point: a two-app mix
@@ -86,9 +85,9 @@ func TestCheckpointRestoreGrid(t *testing.T) {
 	}{
 		{"base", func(sc *Scenario) {}},
 		{"fcfs", func(sc *Scenario) { sc.Policy = "FCFS" }},
-		{"crossbar", func(sc *Scenario) { sc.Topology = xbar.Crossbar }},
-		{"detailed-dram", func(sc *Scenario) { sc.DetailedDRAM = true }},
-		{"ewma-predictor", func(sc *Scenario) { sc.BWPredictor = "ewma" }},
+		{"crossbar", func(sc *Scenario) { sc.Platform.Topology = "xbar" }},
+		{"detailed-dram", func(sc *Scenario) { sc.Platform.DetailedDRAM = true }},
+		{"ewma-predictor", func(sc *Scenario) { sc.Platform.BWPredictor = "ewma" }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -260,5 +259,33 @@ func TestCheckpointRequiresPeriodic(t *testing.T) {
 	other.Policy = "FCFS"
 	if _, err := RunFromCheckpoint(ctx, other, opened); err == nil {
 		t.Error("fork-key mismatch accepted")
+	}
+}
+
+// TestCheckpointRejectsOtherPlatform: warmed state is only reusable under
+// the platform that produced it, so the fork key covers the resolved
+// platform — another spelling of the same platform restores, a different
+// one is refused.
+func TestCheckpointRejectsOtherPlatform(t *testing.T) {
+	ctx := context.Background()
+	sc := periodicScenario(t)
+	sc.Platform = PlatformSpec{DRAMGBs: 4}
+	env, err := RunToCheckpoint(ctx, sc, 8*sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, err := ckpt.Open(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := sc
+	same.Platform = PlatformSpec{DRAMGBs: 4, BWPredictor: "max", Instances: map[string]int{"isp": 1}}
+	if _, err := RunFromCheckpoint(ctx, same, opened); err != nil {
+		t.Errorf("restore under an equal platform: %v", err)
+	}
+	other := sc
+	other.Platform = PlatformSpec{DRAMGBs: 12, SchedBaseNS: 900}
+	if _, err := RunFromCheckpoint(ctx, other, opened); err == nil || !strings.Contains(err.Error(), "fork key mismatch") {
+		t.Errorf("restore across platforms: err=%v, want a fork key mismatch", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"relief/internal/workload"
-	"relief/internal/xbar"
 )
 
 // TestPaperObservations pins the paper's headline observations (§V) as
@@ -127,7 +126,7 @@ func TestPaperObservations(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, bw := range []string{"last", "average", "ewma"} {
-			res, err := s.Get(Scenario{Mix: mix, Contention: workload.High, Policy: "RELIEF", BWPredictor: bw})
+			res, err := s.Get(Scenario{Mix: mix, Contention: workload.High, Policy: "RELIEF", Platform: PlatformSpec{BWPredictor: bw}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +149,7 @@ func TestPaperObservations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			xb, err := s.Get(Scenario{Mix: mix, Contention: workload.High, Policy: "RELIEF", Topology: xbar.Crossbar})
+			xb, err := s.Get(Scenario{Mix: mix, Contention: workload.High, Policy: "RELIEF", Platform: PlatformSpec{Topology: "xbar"}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"relief/internal/accel"
 	"relief/internal/design"
 	"relief/internal/graph"
 	"relief/internal/manager"
@@ -10,7 +11,6 @@ import (
 	"relief/internal/sim"
 	"relief/internal/stats"
 	"relief/internal/workload"
-	"relief/internal/xbar"
 )
 
 // DRAMStudy is an extension experiment beyond the paper: it swaps the
@@ -36,18 +36,18 @@ func DRAMStudy(s *Sweep) (*Table, error) {
 		for _, p := range []string{"LAX", "RELIEF"} {
 			for _, variant := range []Scenario{
 				{Mix: mix, Contention: workload.High, Policy: p},
-				{Mix: mix, Contention: workload.High, Policy: p, DetailedDRAM: true},
-				{Mix: mix, Contention: workload.High, Policy: p, DetailedDRAM: true, DRAMFCFS: true},
+				{Mix: mix, Contention: workload.High, Policy: p, Platform: PlatformSpec{DetailedDRAM: true}},
+				{Mix: mix, Contention: workload.High, Policy: p, Platform: PlatformSpec{DetailedDRAM: true, DRAMPolicy: "fcfs"}},
 			} {
 				res, err := s.Get(variant)
 				if err != nil {
 					return err
 				}
 				row = append(row, f2(res.Stats.Makespan.Milliseconds()))
-				if p == "RELIEF" && variant.DetailedDRAM && !variant.DRAMFCFS {
+				if p == "RELIEF" && variant.Platform.DetailedDRAM && variant.Platform.DRAMPolicy == "" {
 					reliefDetail = res
 				}
-				if p == "RELIEF" && !variant.DetailedDRAM {
+				if p == "RELIEF" && !variant.Platform.DetailedDRAM {
 					sumSimple += res.Stats.Makespan.Milliseconds()
 				}
 			}
@@ -121,9 +121,13 @@ func runPeriodic(policyName string, mix []workload.App) (*stats.Stats, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg, err := PlatformSpec{}.Resolve(policy)
+	if err != nil {
+		return nil, err
+	}
 	k := sim.NewKernel()
 	st := stats.New()
-	m := manager.New(k, manager.DefaultConfig(policy), st)
+	m := manager.New(k, cfg, st)
 	for _, app := range mix {
 		app := app
 		if err := m.SubmitPeriodic(func() *graph.DAG { return workload.MustBuild(app) },
@@ -155,7 +159,7 @@ func TiledStudy() (*Table, error) {
 		}
 		var mk [2]sim.Time
 		var occ [2]float64
-		for i, topo := range []xbar.Topology{xbar.Bus, xbar.Crossbar} {
+		for i, topo := range []string{"bus", "xbar"} {
 			st, occupancy, err := runTiled(mix, topo)
 			if err != nil {
 				return nil, err
@@ -169,19 +173,13 @@ func TiledStudy() (*Table, error) {
 	return t, nil
 }
 
-func runTiled(mix []workload.App, topo xbar.Topology) (*stats.Stats, float64, error) {
+func runTiled(mix []workload.App, topo string) (*stats.Stats, float64, error) {
+	cfg, err := PlatformSpec{Instances: instancesOfEach(2), Topology: topo}.Resolve(mustPolicy("RELIEF"))
+	if err != nil {
+		return nil, 0, err
+	}
 	k := sim.NewKernel()
 	st := stats.New()
-	cfg := manager.DefaultConfig(mustPolicy("RELIEF"))
-	for kind := range cfg.Instances {
-		cfg.Instances[kind] = 2
-	}
-	total := 0
-	for _, c := range cfg.Instances {
-		total += c
-	}
-	cfg.Interconnect = xbar.DefaultConfig(total)
-	cfg.Interconnect.Topology = topo
 	m := manager.New(k, cfg, st)
 	for _, app := range mix {
 		d, err := workload.BuildTiled(app, 2, 4)
@@ -194,6 +192,16 @@ func runTiled(mix []workload.App, topo xbar.Topology) (*stats.Stats, float64, er
 	}
 	m.Run()
 	return st, m.Interconnect().Occupancy(), nil
+}
+
+// instancesOfEach is a PlatformSpec.Instances giving every accelerator
+// kind n instances.
+func instancesOfEach(n int) map[string]int {
+	inst := make(map[string]int, accel.NumKinds)
+	for k := accel.Kind(0); k < accel.NumKinds; k++ {
+		inst[k.String()] = n
+	}
+	return inst
 }
 
 func mustPolicy(name string) sched.Policy {
@@ -262,7 +270,7 @@ func EnergyStudy(s *Sweep) (*Table, error) {
 // accelerator? More instances raise max_forwards (RELIEF can escalate more
 // children) but spread producers and consumers across scratchpads, turning
 // colocations into forwards.
-func ScalingStudy() (*Table, error) {
+func ScalingStudy(s *Sweep) (*Table, error) {
 	t := &Table{
 		Title: "Extension: instance scaling under RELIEF",
 		Cols:  []string{"mix", "makespan(ms)", "instances/kind", "fwd%", "col%", "occupancy"},
@@ -273,22 +281,12 @@ func ScalingStudy() (*Table, error) {
 			return nil, err
 		}
 		for _, per := range []int{1, 2, 4} {
-			k := sim.NewKernel()
-			st := stats.New()
-			cfg := manager.DefaultConfig(mustPolicy("RELIEF"))
-			total := 0
-			for kind := range cfg.Instances {
-				cfg.Instances[kind] = per
-				total += per
+			res, err := s.Get(Scenario{Mix: mix, Contention: workload.Contention(len(mix)), Policy: "RELIEF",
+				Platform: PlatformSpec{Instances: instancesOfEach(per)}})
+			if err != nil {
+				return nil, err
 			}
-			cfg.Interconnect = xbar.DefaultConfig(total)
-			m := manager.New(k, cfg, st)
-			for _, app := range mix {
-				if err := m.Submit(workload.MustBuild(app), 0, nil); err != nil {
-					return nil, err
-				}
-			}
-			m.Run()
+			st := res.Stats
 			fwd, col := st.ForwardsPerEdge()
 			t.AddRow(mixName, f2(st.Makespan.Milliseconds()),
 				fmt.Sprintf("%d", per), f1(fwd), f1(col), f2(st.Occupancy()))

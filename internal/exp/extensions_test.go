@@ -22,7 +22,7 @@ func TestDRAMStudySubstitutionHolds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		detailed, err := s.Get(Scenario{Mix: mix, Contention: workload.High, Policy: "RELIEF", DetailedDRAM: true})
+		detailed, err := s.Get(Scenario{Mix: mix, Contention: workload.High, Policy: "RELIEF", Platform: PlatformSpec{DetailedDRAM: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,10 +115,10 @@ func TestAnalyticVsSimulatedNoForwarding(t *testing.T) {
 	}
 	for a := workload.App(0); a < workload.NumApps; a++ {
 		res, err := Run(Scenario{
-			Mix:               []workload.App{a},
-			Contention:        workload.Low,
-			Policy:            "FCFS",
-			DisableForwarding: true,
+			Mix:        []workload.App{a},
+			Contention: workload.Low,
+			Policy:     "FCFS",
+			Platform:   PlatformSpec{DisableForwarding: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -138,11 +138,38 @@ func TestAnalyticVsSimulatedNoForwarding(t *testing.T) {
 	}
 }
 
-// TestScalingStudyShape exercises the instance-scaling extension.
+// scalingTable is the instance-scaling table as the hand-built platforms
+// rendered it before the study ran through Sweep.
+const scalingTable = `== Extension: instance scaling under RELIEF ==
+mix  makespan(ms)  instances/kind  fwd%  col%  occupancy
+---------------------------------------------------------
+GL           6.47               1   0.0  64.1       0.42
+GL           4.21               2   6.1  63.4       0.64
+GL           3.49               4  16.8  59.5       0.78
+CGL          7.41               1   2.8  62.7       0.84
+CGL          5.08               2   9.3  61.7       1.23
+CGL          4.22               4  18.2  59.3       1.48
+CDH         24.33               1  62.5  16.7       1.04
+CDH         16.88               2  70.8  20.8       1.50
+CDH         16.36               4  79.2  20.8       1.55
+
+`
+
+// TestScalingStudyShape exercises the instance-scaling extension: nine
+// distinct platforms cached in the sweep, and the table unchanged.
 func TestScalingStudyShape(t *testing.T) {
-	tbl, err := ScalingStudy()
+	s := NewSweep()
+	tbl, err := ScalingStudy(s)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n, _, _ := s.CostTotals(); n != 9 {
+		t.Errorf("scaling study cached %d scenarios, want 9", n)
+	}
+	var b strings.Builder
+	tbl.Render(&b)
+	if b.String() != scalingTable {
+		t.Errorf("scaling table changed:\n%s", b.String())
 	}
 	if len(tbl.Rows) == 0 || len(tbl.Rows[0]) != len(tbl.Cols) {
 		t.Fatal("malformed scaling table")

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"relief/internal/graph"
-	"relief/internal/predict"
 	"relief/internal/sim"
 	"relief/internal/workload"
 	"relief/internal/xbar"
@@ -369,7 +368,7 @@ func Table8(s *Sweep) (*Table, error) {
 		row := []string{name}
 		// Compute and data-movement errors with the graph-analysis DM
 		// predictor active.
-		pr, err := s.Get(Scenario{Mix: mix, Contention: workload.High, Policy: "RELIEF", DM: predict.DMPredict})
+		pr, err := s.Get(Scenario{Mix: mix, Contention: workload.High, Policy: "RELIEF", Platform: PlatformSpec{PredictDM: true}})
 		if err != nil {
 			return err
 		}
@@ -377,7 +376,7 @@ func Table8(s *Sweep) (*Table, error) {
 		row = append(row, f2(cErr), f2(dmErr))
 		var fwds, dls []string
 		for _, b := range bwNames {
-			res, err := s.Get(Scenario{Mix: mix, Contention: workload.High, Policy: "RELIEF", BWPredictor: b})
+			res, err := s.Get(Scenario{Mix: mix, Contention: workload.High, Policy: "RELIEF", Platform: PlatformSpec{BWPredictor: b}})
 			if err != nil {
 				return err
 			}
@@ -414,22 +413,23 @@ func Fig11(s *Sweep) (*Table, error) {
 		if den == 0 {
 			den = 1
 		}
-		get := func(bw string, dm predict.DMMode) (float64, error) {
-			res, err := s.Get(Scenario{Mix: mix, Contention: workload.High, Policy: "RELIEF", BWPredictor: bw, DM: dm})
+		get := func(bw string, predictDM bool) (float64, error) {
+			res, err := s.Get(Scenario{Mix: mix, Contention: workload.High, Policy: "RELIEF",
+				Platform: PlatformSpec{BWPredictor: bw, PredictDM: predictDM}})
 			if err != nil {
 				return 0, err
 			}
 			return float64(res.Stats.NodesMetDeadline) / den, nil
 		}
-		v1, err := get("average", predict.DMMax)
+		v1, err := get("average", false)
 		if err != nil {
 			return err
 		}
-		v2, err := get("max", predict.DMPredict)
+		v2, err := get("max", true)
 		if err != nil {
 			return err
 		}
-		v3, err := get("average", predict.DMPredict)
+		v3, err := get("average", true)
 		if err != nil {
 			return err
 		}
@@ -493,7 +493,7 @@ func Fig13(s *Sweep) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		rx, err := s.Get(Scenario{Mix: mix, Contention: workload.High, Policy: "RELIEF", Topology: xbar.Crossbar})
+		rx, err := s.Get(Scenario{Mix: mix, Contention: workload.High, Policy: "RELIEF", Platform: PlatformSpec{Topology: "xbar"}})
 		if err != nil {
 			return err
 		}
@@ -547,17 +547,17 @@ func Ablation(s *Sweep) (*Table, error) {
 		}},
 		{"single output partition", func(m []workload.App) Scenario {
 			sc := base(m)
-			sc.OutputPartitions = 1
+			sc.Platform.OutputPartitions = 1
 			return sc
 		}},
 		{"triple output partition", func(m []workload.App) Scenario {
 			sc := base(m)
-			sc.OutputPartitions = 3
+			sc.Platform.OutputPartitions = 3
 			return sc
 		}},
 		{"always write back", func(m []workload.App) Scenario {
 			sc := base(m)
-			sc.AlwaysWriteBack = true
+			sc.Platform.AlwaysWriteBack = true
 			return sc
 		}},
 	}

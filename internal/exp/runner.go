@@ -8,18 +8,15 @@ import (
 	"fmt"
 
 	"relief/internal/core"
-	"relief/internal/dram"
 	"relief/internal/fault"
 	"relief/internal/graph"
 	"relief/internal/manager"
 	"relief/internal/metrics"
-	"relief/internal/predict"
 	"relief/internal/sched"
 	"relief/internal/sim"
 	"relief/internal/stats"
 	"relief/internal/trace"
 	"relief/internal/workload"
-	"relief/internal/xbar"
 )
 
 // PolicyNames lists the six policies of the main comparison (Figs. 4-8) in
@@ -64,16 +61,9 @@ type Scenario struct {
 	Mix        []workload.App
 	Contention workload.Contention
 	Policy     string
-	Topology   xbar.Topology
-	// BWPredictor is "max", "last", "average", or "ewma" ("" = max).
-	BWPredictor string
-	DM          predict.DMMode
-	// DisableForwarding runs without forwarding hardware (Table II).
-	DisableForwarding bool
-	// AlwaysWriteBack disables deferred write-back (ablation).
-	AlwaysWriteBack bool
-	// OutputPartitions overrides the double-buffered default (ablation).
-	OutputPartitions int
+	// Platform describes the simulated SoC; its zero value is the paper's
+	// platform (Table VI).
+	Platform PlatformSpec
 	// Trace, if non-nil, records the simulation timeline.
 	Trace *trace.Recorder
 	// Metrics, if non-nil, collects simulated-time telemetry and latency
@@ -82,18 +72,10 @@ type Scenario struct {
 	Metrics *metrics.Registry
 	// MetricsInterval overrides the probe period (0 = 50 µs default).
 	MetricsInterval sim.Time
-	// DetailedDRAM uses the bank-level LPDDR5 controller; DRAMFCFS demotes
-	// its scheduler from FR-FCFS to FCFS (extension study).
-	DetailedDRAM bool
-	DRAMFCFS     bool
 	// Faults, if non-nil, installs deterministic fault injection and the
 	// recovery machinery (resilience study). A zero-rate plan is
 	// timing-neutral: results are bit-identical to no plan.
 	Faults *fault.Plan
-	// Platform, if non-nil, fully determines the platform configuration
-	// (instances, interconnect, memory, predictors); the scenario's other
-	// platform toggles are ignored.
-	Platform *PlatformSpec
 	// Period, if positive, selects periodic release: a fresh instance of
 	// every mix application is released each period until Horizon,
 	// regardless of completion (frame-queue arrivals). Periodic scenarios
@@ -149,38 +131,18 @@ func RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 	return finishRun(ctx, sc, k, m, st)
 }
 
-// managerConfig translates the scenario's platform knobs into a manager
-// configuration (shared by cold runs, checkpoint warming, and restore —
-// a restored run must rebuild exactly the platform the checkpoint saw).
+// managerConfig resolves the scenario's platform and attaches its
+// observers and fault plan (shared by cold runs, checkpoint warming, and
+// restore — a restored run must rebuild exactly the platform the
+// checkpoint saw).
 func (sc *Scenario) managerConfig() (manager.Config, error) {
 	policy, err := NewPolicy(sc.Policy)
 	if err != nil {
 		return manager.Config{}, err
 	}
-	var cfg manager.Config
-	if sc.Platform != nil {
-		cfg, err = sc.Platform.Apply(policy)
-		if err != nil {
-			return manager.Config{}, err
-		}
-	} else {
-		cfg = manager.DefaultConfig(policy)
-		cfg.Interconnect.Topology = sc.Topology
-		cfg.DM = sc.DM
-		cfg.DisableForwarding = sc.DisableForwarding
-		cfg.AlwaysWriteBack = sc.AlwaysWriteBack
-		if sc.OutputPartitions > 0 {
-			cfg.OutputPartitions = sc.OutputPartitions
-		}
-		cfg.DetailedDRAM = sc.DetailedDRAM
-		if sc.DRAMFCFS {
-			cfg.DRAMPolicy = dram.FCFS
-		}
-		bw, err := predict.NewBW(sc.BWPredictor, cfg.Interconnect.DRAMBandwidth)
-		if err != nil {
-			return manager.Config{}, err
-		}
-		cfg.BW = bw
+	cfg, err := sc.Platform.Resolve(policy)
+	if err != nil {
+		return manager.Config{}, err
 	}
 	cfg.Fault = sc.Faults
 	cfg.Trace = sc.Trace

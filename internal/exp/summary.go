@@ -28,9 +28,13 @@ func WriteSummary(w io.Writer, sc Scenario, st *stats.Stats) error {
 	dramE, spadE := st.MemoryEnergy()
 	avg, tail := st.SchedLatency()
 
+	cfg, err := sc.Platform.Resolve(nil)
+	if err != nil {
+		return err
+	}
 	p := &summaryWriter{w: w}
 	p.printf("scenario: mix=%s policy=%s contention=%s topology=%s\n",
-		MixLabel(sc.Mix), sc.Policy, sc.Contention, sc.Topology)
+		MixLabel(sc.Mix), sc.Policy, sc.Contention, cfg.Interconnect.Topology)
 	p.printf("makespan:            %v\n", st.Makespan)
 	p.printf("edges:               %d (forwards %d = %.1f%%, colocations %d = %.1f%%)\n",
 		st.Edges, st.Forwards, fwd, st.Colocations, col)

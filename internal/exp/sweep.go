@@ -33,10 +33,12 @@ func (s *Sweep) key(sc Scenario) string { return ScenarioKey(sc) }
 // ScenarioKey renders the scenario's canonical content key: an explicit,
 // delimiter-separated field encoding (no reflective %v formatting). Fields
 // cannot collide because each is length-delimited by a terminator that
-// cannot appear inside it, and adding a field extends the tail. Trace and
-// Metrics are deliberately excluded: observers don't change simulation
-// results, and observer-bearing scenarios should call Run directly rather
-// than share cached results.
+// cannot appear inside it, and adding a field extends the tail. The
+// platform is encoded as resolved (PlatformSpec.appendKey), so two
+// spellings of one platform share a key and any resolved difference
+// separates them. Trace and Metrics are deliberately excluded: observers
+// don't change simulation results, and observer-bearing scenarios should
+// call Run directly rather than share cached results.
 //
 // This single encoding backs both the Sweep memoization key and the
 // serving layer's content digests (internal/serve hashes it), so the two
@@ -54,18 +56,7 @@ func AppendScenarioKey(b []byte, sc Scenario) []byte {
 	b = append(b, '|')
 	b = append(b, sc.Policy...)
 	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(sc.Topology), 10)
-	b = append(b, '|')
-	b = append(b, sc.BWPredictor...)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(sc.DM), 10)
-	b = append(b, '|')
-	b = appendBool(b, sc.DisableForwarding)
-	b = appendBool(b, sc.AlwaysWriteBack)
-	b = strconv.AppendInt(b, int64(sc.OutputPartitions), 10)
-	b = append(b, '|')
-	b = appendBool(b, sc.DetailedDRAM)
-	b = appendBool(b, sc.DRAMFCFS)
+	b = sc.Platform.appendKey(b)
 	b = append(b, '|')
 	b = sc.Faults.AppendKey(b)
 	b = append(b, '|')

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"testing"
 
-	"relief/internal/predict"
 	"relief/internal/workload"
-	"relief/internal/xbar"
 )
 
 // TestSweepKeyDistinguishesScenarios: every field of Scenario that selects
@@ -19,14 +17,30 @@ func TestSweepKeyDistinguishesScenarios(t *testing.T) {
 		{Mix: mixCG, Contention: workload.High, Policy: "RELIEF"},
 		{Mix: mixCGL, Contention: workload.Low, Policy: "RELIEF"},
 		{Mix: mixCGL, Contention: workload.High, Policy: "FCFS"},
-		{Mix: mixCGL, Contention: workload.High, Policy: "RELIEF", Topology: xbar.Crossbar},
-		{Mix: mixCGL, Contention: workload.High, Policy: "RELIEF", BWPredictor: "ewma"},
-		{Mix: mixCGL, Contention: workload.High, Policy: "RELIEF", DM: predict.DMPredict},
-		{Mix: mixCGL, Contention: workload.High, Policy: "RELIEF", DisableForwarding: true},
-		{Mix: mixCGL, Contention: workload.High, Policy: "RELIEF", AlwaysWriteBack: true},
-		{Mix: mixCGL, Contention: workload.High, Policy: "RELIEF", OutputPartitions: 3},
-		{Mix: mixCGL, Contention: workload.High, Policy: "RELIEF", DetailedDRAM: true},
-		{Mix: mixCGL, Contention: workload.High, Policy: "RELIEF", DetailedDRAM: true, DRAMFCFS: true},
+	}
+	// Every resolved platform field separates keys.
+	for _, p := range []PlatformSpec{
+		{Topology: "xbar"},
+		{BWPredictor: "last"},
+		{BWPredictor: "average"},
+		{BWPredictor: "ewma"},
+		{PredictDM: true},
+		{DisableForwarding: true},
+		{AlwaysWriteBack: true},
+		{OutputPartitions: 1},
+		{OutputPartitions: 3},
+		{DetailedDRAM: true},
+		{DetailedDRAM: true, DRAMPolicy: "fcfs"},
+		{DetailedDRAM: true, DRAMChannels: 2},
+		{Instances: map[string]int{"elem-matrix": 2}},
+		{Instances: map[string]int{"isp": 2}},
+		{BusGBs: 20},
+		{DRAMGBs: 4},
+		{DRAMGBs: 12},
+		{SchedBaseNS: 900},
+		{SchedPerScanNS: 30},
+	} {
+		variants = append(variants, Scenario{Mix: mixCGL, Contention: workload.High, Policy: "RELIEF", Platform: p})
 	}
 	s := NewSweep()
 	seen := map[string]int{s.key(base): -1}
@@ -43,8 +57,8 @@ func TestSweepKeyDistinguishesScenarios(t *testing.T) {
 // so content cannot shift between fields and collide.
 func TestSweepKeyFieldsCannotBleed(t *testing.T) {
 	s := NewSweep()
-	a := Scenario{Policy: "RELIEF", BWPredictor: ""}
-	b := Scenario{Policy: "RELIEF", BWPredictor: "x"}
+	a := Scenario{Policy: "RELIEF", Platform: PlatformSpec{BWPredictor: ""}}
+	b := Scenario{Policy: "RELIEF", Platform: PlatformSpec{BWPredictor: "x"}}
 	if s.key(a) == s.key(b) {
 		t.Fatal("distinct predictors share a key")
 	}
@@ -67,7 +81,7 @@ func BenchmarkSweepKey(b *testing.B) {
 	mix, _ := workload.ParseMix("CDGHL")
 	sc := Scenario{
 		Mix: mix, Contention: workload.Continuous, Policy: "RELIEF-LAX",
-		BWPredictor: "ewma", OutputPartitions: 2, DetailedDRAM: true,
+		Platform: PlatformSpec{BWPredictor: "ewma", OutputPartitions: 2, DetailedDRAM: true},
 	}
 	s := NewSweep()
 	b.ReportAllocs()

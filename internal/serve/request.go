@@ -15,10 +15,8 @@ import (
 
 	"relief/internal/exp"
 	"relief/internal/fault"
-	"relief/internal/predict"
 	"relief/internal/sim"
 	"relief/internal/workload"
-	"relief/internal/xbar"
 )
 
 // Request describes one simulation, mirroring relief-sim's flags. The zero
@@ -164,25 +162,25 @@ func (r *Request) Scenario() (exp.Scenario, error) {
 		return exp.Scenario{}, err
 	}
 	sc := exp.Scenario{
-		Mix:               apps,
-		Contention:        workload.Contention(len(apps)),
-		Policy:            r.Policy,
-		BWPredictor:       r.BW,
-		DisableForwarding: r.NoForwarding,
-		DetailedDRAM:      r.DetailedDRAM,
-		DRAMFCFS:          r.DRAMFCFS,
+		Mix:        apps,
+		Contention: workload.Contention(len(apps)),
+		Policy:     r.Policy,
+		Platform: exp.PlatformSpec{
+			Topology:          r.Topology,
+			BWPredictor:       r.BW,
+			PredictDM:         r.PredictDM,
+			DisableForwarding: r.NoForwarding,
+			DetailedDRAM:      r.DetailedDRAM,
+		},
+	}
+	if r.DRAMFCFS {
+		sc.Platform.DRAMPolicy = "fcfs"
 	}
 	if r.FaultRate > 0 {
 		sc.Faults = fault.Profile(r.FaultRate, r.FaultSeed)
 	}
 	if r.Continuous {
 		sc.Contention = workload.Continuous
-	}
-	if r.PredictDM {
-		sc.DM = predict.DMPredict
-	}
-	if r.Topology == "xbar" {
-		sc.Topology = xbar.Crossbar
 	}
 	if r.PeriodMS > 0 {
 		sc.Period = msToTime(r.PeriodMS)

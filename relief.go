@@ -30,17 +30,16 @@ import (
 	"relief/internal/accel"
 	"relief/internal/ckpt"
 	"relief/internal/core"
+	"relief/internal/exp"
 	"relief/internal/fault"
 	"relief/internal/graph"
 	"relief/internal/manager"
 	"relief/internal/metrics"
-	"relief/internal/predict"
 	"relief/internal/sched"
 	"relief/internal/sim"
 	"relief/internal/stats"
 	"relief/internal/trace"
 	"relief/internal/workload"
-	"relief/internal/xbar"
 )
 
 // Time is a simulation timestamp or duration in picoseconds.
@@ -169,7 +168,7 @@ type Config struct {
 	// crossbar.
 	Crossbar bool
 	// Instances overrides the number of accelerator instances per kind
-	// (nil = one of each).
+	// (nil = one of each); counts must be at least 1.
 	Instances map[Kind]int
 	// OutputPartitions overrides the per-accelerator output buffering
 	// (default 2).
@@ -276,7 +275,8 @@ type System struct {
 }
 
 // NewSystem builds a simulation from cfg plus options. Configuration
-// errors (an invalid policy or predictor name) do not panic: they are
+// errors (an invalid policy or predictor name, an unknown accelerator kind
+// or an instance count below 1) do not panic: they are
 // reported by Err and by every subsequent Submit call, so externally
 // supplied names can be validated after construction.
 func NewSystem(cfg Config, opts ...Option) *System {
@@ -297,9 +297,10 @@ func NewSystem(cfg Config, opts ...Option) *System {
 	return s
 }
 
-// buildConfig translates the facade Config plus config-level options into a
-// manager configuration. Both NewSystem and RunFrom use it: a restored
-// system must rebuild exactly the platform the checkpointed system ran on.
+// buildConfig maps the facade Config onto a platform spec, resolves it, and
+// applies the config-level options. Both NewSystem and RunFrom use it: a
+// restored system must rebuild exactly the platform the checkpointed system
+// ran on.
 func buildConfig(cfg Config, opts []Option) (manager.Config, error) {
 	policy := cfg.Custom
 	if policy == nil {
@@ -313,29 +314,23 @@ func buildConfig(cfg Config, opts []Option) (manager.Config, error) {
 		}
 		policy = p
 	}
-	mcfg := manager.DefaultConfig(policy)
+	spec := exp.PlatformSpec{
+		OutputPartitions:  cfg.OutputPartitions,
+		BWPredictor:       cfg.BandwidthPredictor,
+		PredictDM:         cfg.PredictDataMovement,
+		DisableForwarding: cfg.DisableForwarding,
+	}
 	if cfg.Crossbar {
-		mcfg.Interconnect.Topology = xbar.Crossbar
+		spec.Topology = "xbar"
 	}
+	spec.Instances = make(map[string]int, len(cfg.Instances))
 	for k, n := range cfg.Instances {
-		if k < accel.NumKinds && n > 0 {
-			mcfg.Instances[k] = n
-		}
+		spec.Instances[k.String()] = n
 	}
-	if cfg.OutputPartitions > 0 {
-		mcfg.OutputPartitions = cfg.OutputPartitions
+	mcfg, err := spec.Resolve(policy)
+	if err != nil {
+		return manager.Config{}, err
 	}
-	if cfg.BandwidthPredictor != "" {
-		bw, err := predict.NewBW(cfg.BandwidthPredictor, mcfg.Interconnect.DRAMBandwidth)
-		if err != nil {
-			return manager.Config{}, err
-		}
-		mcfg.BW = bw
-	}
-	if cfg.PredictDataMovement {
-		mcfg.DM = predict.DMPredict
-	}
-	mcfg.DisableForwarding = cfg.DisableForwarding
 	mcfg.Trace = cfg.Trace
 	for _, o := range opts {
 		if o.apply != nil {

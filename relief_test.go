@@ -102,17 +102,26 @@ func TestSystemRunTwicePanics(t *testing.T) {
 	sys.Run()
 }
 
+// TestSystemInvalidPolicyErr: configuration errors — an unknown policy, an
+// instance count below 1, an unknown accelerator kind — are reported by
+// Err and by Submit, never silently dropped.
 func TestSystemInvalidPolicyErr(t *testing.T) {
-	sys := relief.NewSystem(relief.Config{Policy: "nope"})
-	if sys.Err() == nil {
-		t.Fatal("invalid policy name not reported by Err")
-	}
-	d, _ := relief.BuildWorkload("canny")
-	if err := sys.Submit(d, 0); err == nil {
-		t.Fatal("Submit on broken system did not fail")
-	}
-	if r := sys.Run(); r == nil || r.NodesDone != 0 {
-		t.Fatal("broken system must return an empty report")
+	for _, cfg := range []relief.Config{
+		{Policy: "nope"},
+		{Instances: map[relief.Kind]int{relief.ElemMatrix: 0}},
+		{Instances: map[relief.Kind]int{relief.Kind(200): 2}},
+	} {
+		sys := relief.NewSystem(cfg)
+		if sys.Err() == nil {
+			t.Fatalf("%+v: configuration error not reported by Err", cfg)
+		}
+		d, _ := relief.BuildWorkload("canny")
+		if err := sys.Submit(d, 0); err == nil {
+			t.Fatalf("%+v: Submit on broken system did not fail", cfg)
+		}
+		if r := sys.Run(); r == nil || r.NodesDone != 0 {
+			t.Fatalf("%+v: broken system must return an empty report", cfg)
+		}
 	}
 }
 

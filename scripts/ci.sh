@@ -99,6 +99,17 @@ if "$tmp/relief-sim" -mix CG -period 5ms -horizon 40ms -restore "$tmp/tampered.c
 	exit 1
 fi
 grep -q 'checksum' "$tmp/tamper.err"
+# The fork key covers the resolved platform: a checkpoint warmed under one
+# platform file must be refused under another that differs only in
+# dram_gbs.
+echo '{"dram_gbs": 4}' >"$tmp/dram4.json"
+echo '{"dram_gbs": 12}' >"$tmp/dram12.json"
+"$tmp/relief-sim" -mix CG -period 5ms -horizon 20ms -warm 8ms -platform "$tmp/dram4.json" -checkpoint "$tmp/dram4.ckpt" >/dev/null
+if "$tmp/relief-sim" -mix CG -period 5ms -horizon 40ms -platform "$tmp/dram12.json" -restore "$tmp/dram4.ckpt" >/dev/null 2>"$tmp/platform.err"; then
+	echo "checkpoint restored across platforms" >&2
+	exit 1
+fi
+grep -q 'fork key mismatch' "$tmp/platform.err"
 "$tmp/relief-sim" -mix CG -period 5ms -horizon 100ms -sample 4 >"$tmp/estimate.json"
 grep -q '"schema": "relief-estimate/1"' "$tmp/estimate.json"
 grep -q '"sampled": true' "$tmp/estimate.json"
