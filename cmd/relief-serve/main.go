@@ -4,14 +4,13 @@
 // cached by content digest. See docs/SERVING.md.
 //
 // With -peers the replica joins a fleet: every scenario digest is placed on
-// one owner by consistent hashing, non-owned requests probe the owner's
-// cache and forward to it, and POST /sweep fans a whole grid out across the
-// fleet (see "Cluster mode" in docs/SERVING.md).
+// one owner by consistent hashing, non-owned requests are forwarded to the
+// owner (which answers from its cache or simulates), and POST /sweep fans a
+// whole grid out across the fleet (see "Cluster mode" in docs/SERVING.md).
 //
 // With -cache-dir the result cache spills write-through to disk, so a
 // restarted replica warm-starts from its previous results instead of
-// re-simulating them. -chaos injects seeded faults into outbound peer
-// traffic for resilience drills (see "Resilience" in docs/SERVING.md).
+// re-simulating them.
 //
 // Every request runs under a distributed trace (X-Relief-Trace); spans are
 // logged as structured records (-log-format json for machine-readable
@@ -24,13 +23,11 @@
 //	relief-serve -addr 127.0.0.1:0 -workers 4 -cache 256
 //	relief-serve -addr 127.0.0.1:8081 -peers http://127.0.0.1:8082,http://127.0.0.1:8083
 //	relief-serve -addr 127.0.0.1:8080 -cache-dir /var/lib/relief/cache
-//	relief-serve -peers ... -chaos '{"seed":7,"drop_rate":0.1,"error_rate":0.05}'
 //	relief-serve -log-format json -debug-addr 127.0.0.1:6060
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -58,7 +55,6 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated peer base URLs; enables cluster mode")
 	self := flag.String("self", "", "this replica's advertised base URL in cluster mode (default http://<listen addr>)")
 	breaker := flag.Int("breaker-threshold", 0, "consecutive peer failures that open its circuit breaker (0 = default 3)")
-	chaos := flag.String("chaos", "", "JSON chaos plan injected into outbound peer traffic, e.g. '{\"seed\":7,\"drop_rate\":0.1}'")
 	logFormat := flag.String("log-format", "text", "log output format: text (grep-friendly lines) or json (one slog record per line)")
 	traceCap := flag.Int("trace-cap", 0, "finished traces retained for GET /trace/{id} (0 = default 256)")
 	debugAddr := flag.String("debug-addr", "", "listen address for the net/http/pprof debug server (off when empty)")
@@ -69,16 +65,6 @@ func main() {
 	}
 	log := svctrace.NewLogger(os.Stdout, *logFormat, "relief-serve")
 
-	var transport http.RoundTripper
-	if *chaos != "" {
-		var plan serve.ChaosPlan
-		if err := json.Unmarshal([]byte(*chaos), &plan); err != nil {
-			fatal(fmt.Errorf("parsing -chaos plan: %w", err))
-		}
-		transport = serve.NewChaosTransport(plan, nil)
-		log.Info("chaos plan active: " + *chaos)
-	}
-
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -88,7 +74,6 @@ func main() {
 		QueueCap:         *queue,
 		CacheCap:         *cacheCap,
 		Timeout:          *timeout,
-		PeerTransport:    transport,
 		BreakerThreshold: *breaker,
 		Logger:           log,
 		TraceCap:         *traceCap,

@@ -264,7 +264,7 @@ func (sw *sweeper) stream(ctx context.Context, replica string, body []byte) erro
 
 func sourceSummary(bySource map[string]int) string {
 	var parts []string
-	for _, src := range []string{"run", "cache", "disk", "peer", "forward"} {
+	for _, src := range []string{"run", "cache", "disk", "forward"} {
 		if n := bySource[src]; n > 0 {
 			parts = append(parts, fmt.Sprintf("%s %d", src, n))
 		}

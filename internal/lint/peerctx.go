@@ -42,8 +42,8 @@ func runPeerCtx(pass *analysis.Pass) error {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
 			// Any mention of the global client: it has no timeout, and its
-			// use bypasses the shared per-peer transport (chaos injection,
-			// breaker accounting).
+			// use bypasses the shared per-peer transport (fault injection in
+			// tests, breaker accounting).
 			if v, ok := pass.TypesInfo.Uses[n.Sel].(*types.Var); ok &&
 				v.Pkg() != nil && v.Pkg().Path() == "net/http" && v.Name() == "DefaultClient" {
 				pass.Reportf(n.Pos(),

@@ -4,15 +4,144 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"relief/internal/exp"
 )
+
+// ChaosPlan is a seeded fault specification for peer traffic: the serving
+// layer's counterpart of internal/fault's Plan. It drives a faulty
+// http.RoundTripper that injects latency, connection drops, 5xx bursts,
+// and one-way partitions into a replica's *outbound* peer calls, so the
+// cluster's resilience promises (no client-visible failures under peer
+// death, bounded duplicated work, byte-identical merged sweeps) can be
+// tested reproducibly.
+//
+// Draws are gated on their rate being non-zero, so a zero-rate plan
+// consumes no randomness and a partition-only plan injects exactly the
+// configured partition and nothing else. The zero value injects nothing.
+type ChaosPlan struct {
+	// Seed initialises the injection PRNG (0 means seed 1, matching the
+	// fault-injection CLI default).
+	Seed int64
+	// LatencyRate is the per-request probability of an added delay of
+	// Latency (default 50ms when the rate is set).
+	LatencyRate float64
+	LatencyMS   int64
+	// DropRate is the per-request probability that the connection drops
+	// before any response arrives (transport error).
+	DropRate float64
+	// ErrorRate is the per-request probability of a synthesized 503 —
+	// the peer is reachable but failing.
+	ErrorRate float64
+	// Partition lists peer hosts ("host:port") whose outbound requests
+	// always fail. The partition is one-way: only this replica's view of
+	// those peers is cut; their requests to us still arrive.
+	Partition []string
+}
+
+// NewChaosTransport wraps next (nil = http.DefaultTransport) with the
+// plan's fault injection. Pass the result as Config.PeerTransport to
+// subject all peer forwards to it.
+func NewChaosTransport(plan ChaosPlan, next http.RoundTripper) http.RoundTripper {
+	if next == nil {
+		next = http.DefaultTransport
+	}
+	seed := plan.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	part := make(map[string]bool, len(plan.Partition))
+	for _, h := range plan.Partition {
+		part[strings.TrimSpace(h)] = true
+	}
+	return &chaosTransport{
+		plan:      plan,
+		next:      next,
+		partition: part,
+		rng:       rand.New(rand.NewSource(seed)),
+	}
+}
+
+type chaosTransport struct {
+	plan      ChaosPlan
+	next      http.RoundTripper
+	partition map[string]bool
+
+	mu  sync.Mutex
+	rng *rand.Rand
+}
+
+// RoundTrip injects the plan's faults ahead of the real transport. For a
+// fixed seed, a sequential request series replays the exact same fault
+// sequence; concurrent callers still see a reproducible fault *mix*
+// (the draw stream is fixed, only its assignment to requests races).
+func (t *chaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if t.partition[req.URL.Host] {
+		closeRequestBody(req)
+		return nil, fmt.Errorf("serve: chaos partition: %s unreachable", req.URL.Host)
+	}
+	var delay time.Duration
+	var drop, fail bool
+	t.mu.Lock()
+	if t.plan.LatencyRate > 0 && t.rng.Float64() < t.plan.LatencyRate {
+		delay = time.Duration(t.plan.LatencyMS) * time.Millisecond
+		if delay <= 0 {
+			delay = 50 * time.Millisecond
+		}
+	}
+	if t.plan.DropRate > 0 && t.rng.Float64() < t.plan.DropRate {
+		drop = true
+	}
+	if !drop && t.plan.ErrorRate > 0 && t.rng.Float64() < t.plan.ErrorRate {
+		fail = true
+	}
+	t.mu.Unlock()
+	if delay > 0 {
+		select {
+		case <-req.Context().Done():
+			closeRequestBody(req)
+			return nil, req.Context().Err()
+		case <-time.After(delay):
+		}
+	}
+	if drop {
+		closeRequestBody(req)
+		return nil, fmt.Errorf("serve: chaos drop: connection to %s lost", req.URL.Host)
+	}
+	if fail {
+		closeRequestBody(req)
+		return &http.Response{
+			Status:        "503 Service Unavailable",
+			StatusCode:    http.StatusServiceUnavailable,
+			Proto:         "HTTP/1.1",
+			ProtoMajor:    1,
+			ProtoMinor:    1,
+			Header:        http.Header{"Content-Type": []string{"text/plain"}},
+			Body:          io.NopCloser(strings.NewReader("chaos: injected 503\n")),
+			ContentLength: -1,
+			Request:       req,
+		}, nil
+	}
+	return t.next.RoundTrip(req)
+}
+
+// closeRequestBody honors the RoundTripper contract: the transport owns
+// the request body and must close it even when no bytes were sent.
+func closeRequestBody(req *http.Request) {
+	if req.Body != nil {
+		req.Body.Close()
+	}
+}
 
 // recordingTransport notes every request that made it through the chaos
 // layer and answers 200.
@@ -107,9 +236,6 @@ func TestChaosPartitionOneWay(t *testing.T) {
 	}
 	if got := next.passed.Load(); got != 10 {
 		t.Errorf("%d requests passed through, want 10", got)
-	}
-	if (ChaosPlan{}).Active() {
-		t.Error("zero plan reports Active")
 	}
 }
 
@@ -214,12 +340,34 @@ func TestSweepUnderChaosByteIdentical(t *testing.T) {
 // zero error lines, and the dead peer's breaker is open by the end.
 func TestPeerDeathMidSweepNoClientFailures(t *testing.T) {
 	servers, tss, urls, _ := chaosFleet(t, 3, ChaosPlan{}) // no injected chaos: real death below
-	// Kill replica 2: closing its listener refuses all future connections.
-	deadURL := urls[2]
-	tss[2].Close()
+	const spec = `{"mixes":["C","D","G","H","L","CD","CG","CH","CL","DG","DH","DL","GH","GL","HL","CGL"],"stream":true}`
+	// Kill a replica that owns enough of the sweep's cells to trip its
+	// breaker (threshold 2): the ring follows the listeners' random ports,
+	// so a fixed choice could own fewer. Closing its listener refuses all
+	// future connections.
+	var sp SweepSpec
+	if err := json.Unmarshal([]byte(spec), &sp); err != nil {
+		t.Fatal(err)
+	}
+	cells, err := sp.expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := map[string]int{}
+	for _, c := range cells {
+		owned[servers[0].cluster.ring.owner(c.Digest)]++
+	}
+	dead := 2
+	if owned[urls[dead]] < 2 {
+		dead = 1
+	}
+	if owned[urls[dead]] < 2 {
+		t.Fatalf("no peer owns two of the sweep's cells: %v", owned)
+	}
+	deadURL := urls[dead]
+	tss[dead].Close()
 
-	resp, err := http.Post(urls[0]+"/sweep", "application/json",
-		strings.NewReader(`{"mixes":["C","D","G","H","L","CD","CG","CH","CL","DG","DH","DL","GH","GL","HL","CGL"],"stream":true}`))
+	resp, err := http.Post(urls[0]+"/sweep", "application/json", strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +410,7 @@ func TestPeerDeathMidSweepNoClientFailures(t *testing.T) {
 	}
 
 	// The dead peer's breaker opened on the coordinating replica (threshold
-	// 2; roughly a third of 16 cells hash onto the dead peer).
+	// 2; at least two cells hash onto the dead peer).
 	h := servers[0].cluster.health[deadURL]
 	if h == nil {
 		t.Fatal("no health tracker for dead peer")

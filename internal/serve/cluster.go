@@ -21,13 +21,8 @@ const forwardHeader = "X-Relief-Forwarded"
 // servedByHeader names the peer whose response was relayed to the client.
 const servedByHeader = "X-Relief-Served-By"
 
-// probeTimeout bounds one peer cache probe (GET /result/{digest}). Probes
-// are pure cache lookups — a peer that cannot answer this fast is treated
-// as failing and the request proceeds without it.
-const probeTimeout = 2 * time.Second
-
 // peerOutcome classifies one exchange with a peer for circuit-breaker
-// accounting: a usable answer, a healthy refusal (cache miss, overload —
+// accounting: a usable answer, a healthy refusal (a full queue's 429 —
 // the peer is alive), or a failure (transport error, timeout, 5xx).
 type peerOutcome int
 
@@ -58,7 +53,7 @@ type cluster struct {
 	self   string
 	peers  []string // sorted, self excluded
 	ring   *ring
-	client *http.Client // shared by probes and forwards; per-attempt ctx deadlines bound each call
+	client *http.Client // shared by all forwards; per-attempt ctx deadlines bound each call
 	fwdTTL time.Duration
 	health map[string]*peerHealth // per-peer circuit breakers, keyed by base URL
 }
@@ -67,10 +62,11 @@ type cluster struct {
 // advertised base URL (e.g. "http://10.0.0.2:8080"), peers the other
 // replicas'. Every digest is owned by exactly one fleet member (consistent
 // hashing over the full member set, identical on every replica); non-owned
-// requests probe the owner's cache and then forward to it, so each popular
-// scenario is simulated once fleet-wide. Call before the server starts
-// taking traffic. Trailing slashes are normalized away and self is dropped
-// from the peer list, so every replica can be handed the same fleet list.
+// requests are forwarded to the owner, which answers from its cache or
+// simulates, so each popular scenario is simulated once fleet-wide. Call
+// before the server starts taking traffic. Trailing slashes are normalized
+// away and self is dropped from the peer list, so every replica can be
+// handed the same fleet list.
 func (s *Server) ConfigureCluster(self string, peers []string) {
 	self = strings.TrimRight(strings.TrimSpace(self), "/")
 	seen := map[string]bool{self: true}
@@ -115,45 +111,10 @@ func (s *Server) ConfigureCluster(self string, peers []string) {
 	s.mu.Unlock()
 }
 
-// probeResult asks one peer's cache for a finished result: a cheap GET
-// bounded by a per-attempt context deadline that never triggers a
-// simulation. A 404 is a healthy miss; a transport error, timeout, 5xx,
-// or garbled body is a failure (breaker food).
-func (c *cluster) probeResult(peer, key, traceID string) (*Result, peerOutcome) {
-	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/result/"+key, nil)
-	if err != nil {
-		return nil, peerFail
-	}
-	if traceID != "" {
-		hreq.Header.Set(svctrace.Header, traceID)
-	}
-	resp, err := c.client.Do(hreq)
-	if err != nil {
-		return nil, peerFail
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		var res Result
-		if err := json.NewDecoder(io.LimitReader(resp.Body, maxResponseBytes)).Decode(&res); err != nil {
-			return nil, peerFail
-		}
-		return &res, peerOK
-	case resp.StatusCode >= 500:
-		return nil, peerFail
-	default:
-		// Drain the (small) error body so the connection is reusable.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, peerMiss
-	}
-}
-
 // forward re-posts the normalized request to its owner with a per-attempt
 // deadline (the simulation budget plus margin) and returns the owner's raw
 // 200 response body for relaying. A transport error or 5xx is a failure;
-// any other refusal (draining, overloaded) is healthy — in every non-OK
+// any other refusal (a full queue's 429) is healthy — in every non-OK
 // case the caller degrades to local execution, so a peer going down costs
 // duplicated work, never a failed request.
 func (c *cluster) forward(owner string, req Request, traceID string) ([]byte, peerOutcome) {
@@ -193,13 +154,12 @@ func (c *cluster) forward(owner string, req Request, traceID string) ([]byte, pe
 }
 
 // routeToOwner runs the peer leg of the decision ladder for a digest owned
-// elsewhere: breaker gate, cache probe, then owner forward. It returns the
-// owner's parsed result (probe hit) or raw relayed envelope (forward), or
-// neither — the caller falls back to local execution. An open breaker
-// skips the network entirely; a probe that failed at the transport level
-// skips the forward (the owner is down — one fast failure, not two slow
-// ones).
-func (s *Server) routeToOwner(tr *svctrace.Trace, cl *cluster, owner, key string, req Request) (res *Result, relay []byte, src string) {
+// elsewhere: breaker gate, then owner forward. It returns the owner's raw
+// relayed envelope, or nil — the caller falls back to local execution. The
+// owner's /run answers from its cache before admission, so one forward
+// covers both a fleet-cached result and a cold one. An open breaker skips
+// the network entirely.
+func (s *Server) routeToOwner(tr *svctrace.Trace, cl *cluster, owner, key string, req Request) []byte {
 	pc := s.svc.peer(owner)
 	h := cl.health[owner]
 	if h != nil && !h.allow() {
@@ -209,48 +169,29 @@ func (s *Server) routeToOwner(tr *svctrace.Trace, cl *cluster, owner, key string
 		sp.Event("state", breakerStateName(h.stateG.Load()))
 		s.endSpan(stageBreaker, sp)
 		pc.fastFails.Add(1)
-		return nil, nil, ""
+		return nil
 	}
-	report := func(o peerOutcome) {
-		if h == nil {
-			return
-		}
+	sp := tr.StartSpan(stageForward)
+	sp.Set("peer", owner)
+	sp.Set("digest", key)
+	relay, o := cl.forward(owner, req, tr.ID())
+	if h != nil {
 		if o == peerFail {
 			h.failure()
 		} else {
 			h.success()
 		}
 	}
-	sp := tr.StartSpan(stageProbe)
-	sp.Set("peer", owner)
-	sp.Set("digest", key)
-	res, o := cl.probeResult(owner, key, tr.ID())
-	report(o)
 	sp.Event("outcome", o.String())
-	s.endSpan(stageProbe, sp)
-	if o == peerOK {
-		pc.hits.Add(1)
-		return res, nil, srcPeer
+	s.endSpan(stageForward, sp)
+	if o != peerOK {
+		pc.forwardErrors.Add(1)
+		return nil
 	}
-	pc.misses.Add(1)
-	if o == peerFail {
-		return nil, nil, "" // owner down: don't pay for a doomed forward
-	}
-	fsp := tr.StartSpan(stageForward)
-	fsp.Set("peer", owner)
-	fsp.Set("digest", key)
-	relay, o = cl.forward(owner, req, tr.ID())
-	report(o)
-	fsp.Event("outcome", o.String())
-	s.endSpan(stageForward, fsp)
-	if o == peerOK {
-		pc.forwarded.Add(1)
-		return nil, relay, srcForward
-	}
-	pc.forwardErrors.Add(1)
-	return nil, nil, ""
+	pc.forwarded.Add(1)
+	return relay
 }
 
-// maxResponseBytes bounds relayed and probed peer responses (metrics
-// documents for heavy scenarios run to a few hundred KiB).
+// maxResponseBytes bounds relayed peer responses (metrics documents for
+// heavy scenarios run to a few hundred KiB).
 const maxResponseBytes = 16 << 20

@@ -64,23 +64,21 @@ func digestOwner(t *testing.T, s *Server, body string) (digest, owner string) {
 }
 
 // TestTwoReplicaCachePeering: a result cached on the digest's owner is
-// served to a request hitting the other replica via a cheap cache probe —
-// "source": "peer", no second simulation anywhere in the fleet, and the
-// probing replica's per-peer hit counter reflects it.
+// served to a request hitting the other replica by one forward that the
+// owner answers from its cache — the relayed envelope says "cached": true,
+// "source": "cache", no second simulation anywhere in the fleet, and the
+// forwarding replica's per-peer counter reflects it.
 func TestTwoReplicaCachePeering(t *testing.T) {
 	s1, s2, url1, url2, execs1, execs2 := twoReplicaFleet(t)
 
 	const body = `{"mix":"CGL"}`
 	_, owner := digestOwner(t, s1, body)
 	ownerURL, otherURL := url1, url2
-	ownerServer, otherServer := s1, s2
-	ownerExecs, otherExecs := execs1, execs2
+	otherServer := s2
 	if owner == url2 {
 		ownerURL, otherURL = url2, url1
-		ownerServer, otherServer = s2, s1
-		ownerExecs, otherExecs = execs2, execs1
+		otherServer = s1
 	}
-	_ = ownerServer
 
 	// Warm the owner: it owns the digest, so it simulates locally.
 	resp, b := post(t, ownerURL, body)
@@ -92,17 +90,23 @@ func TestTwoReplicaCachePeering(t *testing.T) {
 	// owner's cache, not a second simulation.
 	resp, b = post(t, otherURL, body)
 	src, res := decodeEnvelope(t, b)
-	if resp.StatusCode != http.StatusOK || src != srcPeer {
+	if resp.StatusCode != http.StatusOK || src != srcCache {
 		t.Fatalf("non-owner request: status=%d source=%q body=%s", resp.StatusCode, src, b)
 	}
-	if res.Text != "stub:CGL" {
-		t.Errorf("peer result text = %q", res.Text)
+	if cached, _ := decodeResponse(t, b); !cached {
+		t.Errorf("relayed envelope not marked cached: %s", b)
 	}
-	if got := ownerExecs.Load() + otherExecs.Load(); got != 1 {
+	if got := resp.Header.Get(servedByHeader); got != ownerURL {
+		t.Errorf("%s = %q, want %q", servedByHeader, got, ownerURL)
+	}
+	if res.Text != "stub:CGL" {
+		t.Errorf("relayed result text = %q", res.Text)
+	}
+	if got := execs1.Load() + execs2.Load(); got != 1 {
 		t.Errorf("fleet executed %d simulations, want 1", got)
 	}
-	if hits := otherServer.svc.peer(ownerURL).hits.Load(); hits != 1 {
-		t.Errorf("peer hit counter = %d, want 1", hits)
+	if n := otherServer.svc.peer(ownerURL).forwarded.Load(); n != 1 {
+		t.Errorf("forwarded counter = %d, want 1", n)
 	}
 
 	// The labelled counter shows up on /metrics.
@@ -113,7 +117,7 @@ func TestTwoReplicaCachePeering(t *testing.T) {
 	defer mresp.Body.Close()
 	mb, _ := io.ReadAll(mresp.Body)
 	for _, want := range []string{
-		`relief_serve_peer_hits_total{peer="` + ownerURL + `"} 1`,
+		`relief_serve_forwarded_total{peer="` + ownerURL + `"} 1`,
 		`relief_serve_peer_breaker_state{peer="` + ownerURL + `"} 0`,
 		`relief_serve_peer_breaker_opens_total{peer="` + ownerURL + `"} 0`,
 		`relief_serve_peer_retries_total{peer="` + ownerURL + `"} 0`,
@@ -126,9 +130,9 @@ func TestTwoReplicaCachePeering(t *testing.T) {
 }
 
 // TestForwardToOwnerComputesOnce: on a cold fleet, a request landing on a
-// non-owner is forwarded to the owner (probe misses, forward runs it
-// there), and a later identical request peer-probes straight out of the
-// owner's cache. One simulation total, owned side.
+// non-owner is forwarded to the owner, which runs it there, and a later
+// identical request is forwarded again and answered from the owner's
+// cache. One simulation total, owned side.
 func TestForwardToOwnerComputesOnce(t *testing.T) {
 	s1, _, url1, url2, execs1, execs2 := twoReplicaFleet(t)
 
@@ -155,19 +159,61 @@ func TestForwardToOwnerComputesOnce(t *testing.T) {
 			ownerExecs.Load(), otherExecs.Load())
 	}
 
-	// Round two: the owner's cache now answers the probe.
+	// Round two: the owner's cache answers the forward.
 	resp, b = post(t, otherURL, body)
-	if src, _ := decodeEnvelope(t, b); resp.StatusCode != http.StatusOK || src != srcPeer {
-		t.Fatalf("warm probe: status=%d source=%q", resp.StatusCode, src)
+	if src, _ := decodeEnvelope(t, b); resp.StatusCode != http.StatusOK || src != srcCache {
+		t.Fatalf("warm forward: status=%d source=%q body=%s", resp.StatusCode, src, b)
+	}
+	if got := resp.Header.Get(servedByHeader); got != owner {
+		t.Errorf("warm %s = %q, want %q", servedByHeader, got, owner)
 	}
 	if got := ownerExecs.Load() + otherExecs.Load(); got != 1 {
 		t.Errorf("fleet executed %d simulations, want 1", got)
 	}
 }
 
+// countingTransport counts every peer HTTP request that passes through it.
+type countingTransport struct{ n atomic.Int32 }
+
+func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestNonOwnedRunOnePeerRequest: a non-owned /run costs exactly one peer
+// round trip whether the owner has the result cached or not — the owner's
+// /run checks its cache before admission, so no separate lookup precedes
+// the forward.
+func TestNonOwnedRunOnePeerRequest(t *testing.T) {
+	s1, s2, url1, url2, execs1, execs2 := twoReplicaFleet(t)
+	var peerReqs countingTransport
+	s1.cluster.client.Transport = &peerReqs
+	s2.cluster.client.Transport = &peerReqs
+
+	const body = `{"mix":"CGL"}`
+	_, owner := digestOwner(t, s1, body)
+	otherURL := url2
+	if owner == url2 {
+		otherURL = url1
+	}
+	for i, want := range []string{srcRun, srcCache} { // cold, then warm
+		before := peerReqs.n.Load()
+		resp, b := post(t, otherURL, body)
+		if src, _ := decodeEnvelope(t, b); resp.StatusCode != http.StatusOK || src != want {
+			t.Fatalf("request %d: status=%d source=%q, want %q", i, resp.StatusCode, src, want)
+		}
+		if got := peerReqs.n.Load() - before; got != 1 {
+			t.Errorf("request %d (%s) made %d peer requests, want exactly 1", i, want, got)
+		}
+	}
+	if got := execs1.Load() + execs2.Load(); got != 1 {
+		t.Errorf("fleet executed %d simulations, want 1", got)
+	}
+}
+
 // TestPeerDownFallsBackLocally: when a digest's owner is unreachable, the
-// request must still succeed — probe misses, forward fails, and the replica
-// simulates locally. A dead peer costs duplicated work, never an error.
+// request must still succeed — the forward fails and the replica simulates
+// locally. A dead peer costs duplicated work, never an error.
 func TestPeerDownFallsBackLocally(t *testing.T) {
 	const deadPeer = "http://127.0.0.1:9" // discard port: connections refuse fast
 	var execs atomic.Int32
@@ -200,12 +246,11 @@ func TestPeerDownFallsBackLocally(t *testing.T) {
 	if execs.Load() != 1 {
 		t.Errorf("local fallback executed %d simulations, want 1", execs.Load())
 	}
-	// The probe's transport failure marks the owner down, so the forward
-	// is skipped entirely: one fast probe failure, zero forward attempts.
+	// The forward's transport failure feeds the owner's breaker.
 	pc := s.svc.peer(deadPeer)
-	if pc.misses.Load() != 1 || pc.forwardErrors.Load() != 0 {
-		t.Errorf("dead peer counters: misses=%d forward_errors=%d, want 1/0",
-			pc.misses.Load(), pc.forwardErrors.Load())
+	if pc.forwarded.Load() != 0 || pc.forwardErrors.Load() != 1 {
+		t.Errorf("dead peer counters: forwarded=%d forward_errors=%d, want 0/1",
+			pc.forwarded.Load(), pc.forwardErrors.Load())
 	}
 	if h := s.cluster.health[deadPeer]; h == nil {
 		t.Error("dead peer has no health tracker")
@@ -214,7 +259,7 @@ func TestPeerDownFallsBackLocally(t *testing.T) {
 		fails := h.fails
 		h.mu.Unlock()
 		if fails == 0 {
-			t.Error("probe failure did not feed the dead peer's breaker")
+			t.Error("forward failure did not feed the dead peer's breaker")
 		}
 	}
 
@@ -223,8 +268,8 @@ func TestPeerDownFallsBackLocally(t *testing.T) {
 	if src, _ := decodeEnvelope(t, b); resp.StatusCode != http.StatusOK || src != srcCache {
 		t.Fatalf("repeat request: status=%d source=%q", resp.StatusCode, src)
 	}
-	if pc.misses.Load() != 1 {
-		t.Errorf("cached repeat probed the dead peer again (misses=%d)", pc.misses.Load())
+	if pc.forwardErrors.Load() != 1 {
+		t.Errorf("cached repeat contacted the dead peer again (forward_errors=%d)", pc.forwardErrors.Load())
 	}
 }
 

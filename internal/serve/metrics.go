@@ -38,13 +38,11 @@ type serviceMetrics struct {
 	stages map[string]*metrics.BucketHistogram
 }
 
-// peerCounters tracks one peer's share of cluster traffic: cache probes
-// that hit/missed, requests forwarded to it as the owner, forwards that
-// failed (peer down → local fallback), and requests that skipped the peer
-// without network I/O because its circuit breaker was open.
+// peerCounters tracks one peer's share of cluster traffic: requests
+// forwarded to it as the owner, forwards that failed (peer down → local
+// fallback), and requests that skipped the peer without network I/O
+// because its circuit breaker was open.
 type peerCounters struct {
-	hits          atomic.Int64
-	misses        atomic.Int64
 	forwarded     atomic.Int64
 	forwardErrors atomic.Int64
 	fastFails     atomic.Int64
@@ -64,7 +62,7 @@ func (m *serviceMetrics) peer(url string) *peerCounters {
 }
 
 // registerPeers creates and registers the per-peer cluster counters, one
-// labelled series per peer (`relief_serve_peer_hits_total{peer="..."}`,
+// labelled series per peer (`relief_serve_forwarded_total{peer="..."}`,
 // ...), plus the circuit-breaker gauge and counters read from each peer's
 // health tracker. peers must be sorted and deduplicated (ConfigureCluster's
 // fleet normalization guarantees it).
@@ -79,10 +77,6 @@ func (m *serviceMetrics) registerPeers(peers []string, health map[string]*peerHe
 		pc := &peerCounters{}
 		m.peers[p] = pc
 		label := "{peer=\"" + metrics.EscapeLabelValue(p) + "\"}"
-		m.reg.CounterFunc("relief_serve_peer_hits_total"+label,
-			"Peer cache probes answered from this peer's result cache.", count(&pc.hits))
-		m.reg.CounterFunc("relief_serve_peer_misses_total"+label,
-			"Peer cache probes this peer could not answer.", count(&pc.misses))
 		m.reg.CounterFunc("relief_serve_forwarded_total"+label,
 			"Requests forwarded to this peer as the digest's ring owner.", count(&pc.forwarded))
 		m.reg.CounterFunc("relief_serve_forward_errors_total"+label,
@@ -197,7 +191,7 @@ func (m *serviceMetrics) observeStage(stage string, d time.Duration) {
 	if !ok {
 		h = m.reg.BucketHistogram(
 			metrics.Label("relief_serve_stage_latency_ms", "stage", stage),
-			"Wall-clock latency of one serving pipeline stage, labelled by stage (admission, cache, disk, probe, forward, breaker, run, stream), in milliseconds.",
+			"Wall-clock latency of one serving pipeline stage, labelled by stage (admission, cache, disk, forward, breaker, run, stream), in milliseconds.",
 			stageBounds)
 		m.stages[stage] = h
 	}

@@ -11,7 +11,9 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"io"
 
 	"relief/internal/exp"
 	"relief/internal/fault"
@@ -68,6 +70,14 @@ type Request struct {
 	// are only captured when the request actually runs the kernel locally
 	// (source "run") — cache, disk, and peer answers have no kernel leg.
 	Trace bool `json:"trace,omitempty"`
+}
+
+// decodeStrict decodes one JSON request body into v, rejecting unknown
+// fields so a misspelled option fails loudly instead of being ignored.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // Normalize rewrites defaultable fields to their canonical spelling and

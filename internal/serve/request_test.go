@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -22,46 +23,53 @@ func digestOf(t *testing.T, raw string) string {
 	return req.Digest()
 }
 
+// equivalentRequests spell one scenario several ways: the first entry is
+// the base spelling, and every other must digest identically.
+var equivalentRequests = []string{
+	`{"mix":"CGL","policy":"LAX","metrics":true,"fault_rate":0.01}`,
+	`{"fault_rate":0.01,"metrics":true,"policy":"LAX","mix":"CGL"}`,
+	`{"metrics": true, "mix": "CGL", "fault_rate": 1e-2, "policy": "LAX"}`,
+	// Defaults spelled out must not change the key.
+	`{"mix":"CGL","policy":"LAX","metrics":true,"fault_rate":0.01,
+	  "topology":"bus","bw":"max","fault_seed":1,"continuous":false}`,
+	// timeout_ms is a delivery knob, excluded from the digest.
+	`{"mix":"CGL","policy":"LAX","metrics":true,"fault_rate":0.01,"timeout_ms":5000}`,
+}
+
 // TestDigestFieldOrderIndependent: the digest is a function of the
 // scenario, not of JSON spelling — reordered fields, whitespace, and
 // explicitly-spelled defaults all hash identically.
 func TestDigestFieldOrderIndependent(t *testing.T) {
-	base := digestOf(t, `{"mix":"CGL","policy":"LAX","metrics":true,"fault_rate":0.01}`)
-	same := []string{
-		`{"fault_rate":0.01,"metrics":true,"policy":"LAX","mix":"CGL"}`,
-		`{"metrics": true, "mix": "CGL", "fault_rate": 1e-2, "policy": "LAX"}`,
-		// Defaults spelled out must not change the key.
-		`{"mix":"CGL","policy":"LAX","metrics":true,"fault_rate":0.01,
-		  "topology":"bus","bw":"max","fault_seed":1,"continuous":false}`,
-		// timeout_ms is a delivery knob, excluded from the digest.
-		`{"mix":"CGL","policy":"LAX","metrics":true,"fault_rate":0.01,"timeout_ms":5000}`,
-	}
-	for _, raw := range same {
+	base := digestOf(t, equivalentRequests[0])
+	for _, raw := range equivalentRequests[1:] {
 		if d := digestOf(t, raw); d != base {
 			t.Errorf("digest of %s = %s, want %s", raw, d, base)
 		}
 	}
 }
 
+// distinctRequests are pairwise different scenarios.
+var distinctRequests = []string{
+	`{"mix":"CGL"}`,
+	`{"mix":"CLG"}`, // submission order is part of the scenario
+	`{"mix":"CGL","policy":"LAX"}`,
+	`{"mix":"CGL","continuous":true}`,
+	`{"mix":"CGL","topology":"xbar"}`,
+	`{"mix":"CGL","bw":"ewma"}`,
+	`{"mix":"CGL","predict_dm":true}`,
+	`{"mix":"CGL","no_forwarding":true}`,
+	`{"mix":"CGL","detailed_dram":true}`,
+	`{"mix":"CGL","detailed_dram":true,"dram_fcfs":true}`,
+	`{"mix":"CGL","fault_rate":0.01}`,
+	`{"mix":"CGL","fault_rate":0.01,"fault_seed":2}`,
+	`{"mix":"CGL","metrics":true}`,
+}
+
 // TestDigestSeparatesScenarios: any semantically different request must
 // get a different content address.
 func TestDigestSeparatesScenarios(t *testing.T) {
 	seen := map[string]string{}
-	for _, raw := range []string{
-		`{"mix":"CGL"}`,
-		`{"mix":"CLG"}`, // submission order is part of the scenario
-		`{"mix":"CGL","policy":"LAX"}`,
-		`{"mix":"CGL","continuous":true}`,
-		`{"mix":"CGL","topology":"xbar"}`,
-		`{"mix":"CGL","bw":"ewma"}`,
-		`{"mix":"CGL","predict_dm":true}`,
-		`{"mix":"CGL","no_forwarding":true}`,
-		`{"mix":"CGL","detailed_dram":true}`,
-		`{"mix":"CGL","detailed_dram":true,"dram_fcfs":true}`,
-		`{"mix":"CGL","fault_rate":0.01}`,
-		`{"mix":"CGL","fault_rate":0.01,"fault_seed":2}`,
-		`{"mix":"CGL","metrics":true}`,
-	} {
+	for _, raw := range distinctRequests {
 		d := digestOf(t, raw)
 		if prev, dup := seen[d]; dup {
 			t.Errorf("digest collision: %s and %s both hash to %s", prev, raw, d)
@@ -74,7 +82,7 @@ func TestDigestSeparatesScenarios(t *testing.T) {
 // exp.Sweep memoizes on (exp.AppendScenarioKey), plus a version prefix and
 // the metrics bit. One canonicalization, two layers: two requests share a
 // serve cache entry if and only if an exp sweep would share their result —
-// which is what makes peer cache probes and sweep merges safe.
+// which is what makes forwarded cache hits and sweep merges safe.
 func TestDigestUsesExpScenarioKey(t *testing.T) {
 	for _, raw := range []string{
 		`{"mix":"CGL"}`,
@@ -167,18 +175,21 @@ func TestDigestIgnoresSeedWithoutFaults(t *testing.T) {
 	}
 }
 
+// invalidRequests decode but fail Normalize.
+var invalidRequests = []string{
+	`{}`,                           // no mix
+	`{"mix":"Z"}`,                  // unknown symbol
+	`{"mix":"CGLD"}`,               // too many apps
+	`{"mix":"C","policy":"BOGUS"}`, // unknown policy
+	`{"mix":"C","topology":"mesh"}`,
+	`{"mix":"C","bw":"oracle"}`,
+	`{"mix":"C","fault_rate":1.5}`,
+	`{"mix":"C","fault_rate":-0.1}`,
+	`{"mix":"C","timeout_ms":-1}`,
+}
+
 func TestNormalizeRejectsInvalid(t *testing.T) {
-	for _, raw := range []string{
-		`{}`,                           // no mix
-		`{"mix":"Z"}`,                  // unknown symbol
-		`{"mix":"CGLD"}`,               // too many apps
-		`{"mix":"C","policy":"BOGUS"}`, // unknown policy
-		`{"mix":"C","topology":"mesh"}`,
-		`{"mix":"C","bw":"oracle"}`,
-		`{"mix":"C","fault_rate":1.5}`,
-		`{"mix":"C","fault_rate":-0.1}`,
-		`{"mix":"C","timeout_ms":-1}`,
-	} {
+	for _, raw := range invalidRequests {
 		var req Request
 		if err := json.Unmarshal([]byte(raw), &req); err != nil {
 			t.Fatalf("decode %s: %v", raw, err)
@@ -187,6 +198,51 @@ func TestNormalizeRejectsInvalid(t *testing.T) {
 			t.Errorf("Normalize accepted %s", raw)
 		}
 	}
+}
+
+// FuzzRequest drives arbitrary /run bodies through the handler's decode,
+// Normalize, and Digest. Normalize must be idempotent, and the normalized
+// request must survive the JSON round trip a forward to the digest's owner
+// makes: the owner's decode and Normalize land on the same digest.
+func FuzzRequest(f *testing.F) {
+	for _, seeds := range [][]string{equivalentRequests, distinctRequests, invalidRequests} {
+		for _, raw := range seeds {
+			f.Add([]byte(raw))
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req Request
+		if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
+			return
+		}
+		if err := req.Normalize(); err != nil {
+			return
+		}
+		key := req.Digest()
+		if err := req.Normalize(); err != nil {
+			t.Fatalf("second Normalize of %s: %v", body, err)
+		}
+		if d := req.Digest(); d != key {
+			t.Fatalf("Normalize not idempotent for %s: digest %s then %s", body, key, d)
+		}
+		wire, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("marshal normalized %+v: %v", req, err)
+		}
+		var back Request
+		if err := decodeStrict(bytes.NewReader(wire), &back); err != nil {
+			t.Fatalf("decode of marshalled %s: %v", wire, err)
+		}
+		if d := back.Digest(); d != key {
+			t.Fatalf("round trip changed the digest of %s: %s then %s (wire %s)", body, key, d, wire)
+		}
+		if err := back.Normalize(); err != nil {
+			t.Fatalf("Normalize of round-tripped %s: %v", wire, err)
+		}
+		if d := back.Digest(); d != key {
+			t.Fatalf("owner-side digest of %s = %s, want %s", wire, d, key)
+		}
+	})
 }
 
 func TestLRUCache(t *testing.T) {

@@ -37,9 +37,9 @@ type Config struct {
 	// kernel). Benchmark harnesses substitute fixed-cost runners to
 	// measure the serving and distribution layers in isolation.
 	Runner func(ctx context.Context, req Request) (*Result, error)
-	// PeerTransport overrides the HTTP transport used for peer probes and
-	// forwards in cluster mode (nil = http.DefaultTransport). The chaos
-	// harness (NewChaosTransport) injects faults through it.
+	// PeerTransport overrides the HTTP transport used for peer forwards in
+	// cluster mode (nil = http.DefaultTransport). Tests inject faulty
+	// transports through it.
 	PeerTransport http.RoundTripper
 	// BreakerThreshold is the number of consecutive peer failures that
 	// opens a peer's circuit breaker (default 3).
@@ -89,9 +89,9 @@ type Result struct {
 }
 
 // response is the HTTP envelope around a Result. Source says where the
-// answer came from: "run" (simulated here), "cache" (local result cache),
-// or "peer" (a peer replica's cache, cluster mode). Forwarded requests
-// relay the owner's envelope verbatim, so their source reflects the owner.
+// answer came from: "run" (simulated here), "cache" (local result cache)
+// or "disk" (spill directory). Forwarded requests relay the owner's
+// envelope verbatim, so their source reflects the owner.
 type response struct {
 	Cached bool   `json:"cached"`
 	Source string `json:"source,omitempty"`
@@ -393,8 +393,7 @@ const (
 	srcRun     = "run"     // simulated on this replica
 	srcCache   = "cache"   // this replica's in-memory result cache
 	srcDisk    = "disk"    // this replica's spill directory (warm restart)
-	srcPeer    = "peer"    // a peer replica's cache (probe hit)
-	srcForward = "forward" // computed by the digest's ring owner
+	srcForward = "forward" // answered by the digest's ring owner (cached or simulated there)
 )
 
 // Sentinel errors for the admission path.
@@ -422,9 +421,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
 		fail(http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
@@ -435,36 +432,29 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	key = req.Digest()
 	s.svc.requests.Add(1)
 
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.setRetryAfter(w)
-		fail(http.StatusServiceUnavailable, errDraining)
-		return
-	}
-	s.mu.Unlock()
+	// Cache first, even while draining: handing out a finished result costs
+	// nothing and spares the fleet a re-simulation.
 	if res, src, ok := s.cachedResult(tr, key); ok {
 		s.svc.hits.Add(1)
 		serve(response{Cached: true, Source: src, Result: res})
 		return
 	}
 	s.mu.Lock()
-	cl := s.cluster
+	draining, cl := s.draining, s.cluster
 	s.mu.Unlock()
+	if draining {
+		s.setRetryAfter(w)
+		fail(http.StatusServiceUnavailable, errDraining)
+		return
+	}
 
-	// Cluster mode: a digest owned elsewhere is answered by its owner —
-	// probe its cache first (a result computed anywhere in the fleet is
-	// never re-simulated), then forward the full request. An unreachable
-	// owner (or one behind an open circuit breaker) degrades to local
-	// execution below.
+	// Cluster mode: a digest owned elsewhere is answered by its owner, from
+	// its cache or by simulating there, so a result computed anywhere in the
+	// fleet is never re-simulated. An unreachable owner (or one behind an
+	// open circuit breaker) degrades to local execution below.
 	if cl != nil && r.Header.Get(forwardHeader) == "" {
 		if owner := cl.ring.owner(key); owner != cl.self {
-			res, relay, src := s.routeToOwner(tr, cl, owner, key, req)
-			switch {
-			case res != nil:
-				serve(response{Cached: false, Source: src, Result: res})
-				return
-			case relay != nil:
+			if relay := s.routeToOwner(tr, cl, owner, key, req); relay != nil {
 				// The relayed envelope already carries the shared trace ID:
 				// the owner served this request under the ID we forwarded.
 				tr.SetResult(key, srcForward, http.StatusOK)
@@ -608,7 +598,7 @@ func (s *Server) abandon(fl *flight) {
 }
 
 // executeCell answers one sweep cell through the same decision ladder as
-// handleRun — local cache, peer probe, owner forward, local simulation
+// handleRun — local cache, breaker gate, owner forward, local simulation
 // (blocking admission) — and reports where the answer came from.
 func (s *Server) executeCell(ctx context.Context, req Request, key string) (*Result, string, error) {
 	tr := traceFrom(ctx) // the sweep coordinator's trace; cell spans carry digest attrs
@@ -622,14 +612,10 @@ func (s *Server) executeCell(ctx context.Context, req Request, key string) (*Res
 
 	if cl != nil {
 		if owner := cl.ring.owner(key); owner != cl.self {
-			res, relay, src := s.routeToOwner(tr, cl, owner, key, req)
-			switch {
-			case res != nil:
-				return res, src, nil
-			case relay != nil:
+			if relay := s.routeToOwner(tr, cl, owner, key, req); relay != nil {
 				var env response
 				if err := json.Unmarshal(relay, &env); err == nil && env.Result != nil {
-					return env.Result, src, nil
+					return env.Result, srcForward, nil
 				}
 				// Unparseable relay: fall through to local execution.
 			}
@@ -697,10 +683,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleResult is the peer cache probe: a pure lookup that answers with the
-// cached Result for a digest or 404, never triggering a simulation. It
-// keeps serving through drain — handing out finished results costs nothing
-// and spares the fleet a re-simulation.
+// handleResult is a client cache lookup: it answers with the cached Result
+// for a digest or 404, never triggering a simulation. Like /run's cache
+// rung it keeps serving through drain.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	tr := s.beginTrace(w, r)
 	defer s.finishTrace(tr, "/result")

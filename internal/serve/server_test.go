@@ -240,6 +240,35 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	}
 }
 
+// TestDrainServesCachedResults: a draining replica still hands out finished
+// results on /run (200, "cached": true), while uncached work gets 503.
+func TestDrainServesCachedResults(t *testing.T) {
+	var execs atomic.Int32
+	s := New(Config{Workers: 1, Runner: countingStub(&execs)})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	if resp, b := post(t, ts.URL, `{"mix":"C"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warming: status %d: %s", resp.StatusCode, b)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	resp, b := post(t, ts.URL, `{"mix":"C"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cached digest while draining: status %d, want 200: %s", resp.StatusCode, b)
+	}
+	if cached, res := decodeResponse(t, b); !cached || res.Text != "stub:C" {
+		t.Errorf("cached digest while draining: cached=%v text=%q", cached, res.Text)
+	}
+	if resp, b := post(t, ts.URL, `{"mix":"D"}`); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("uncached digest while draining: status %d, want 503: %s", resp.StatusCode, b)
+	}
+	if n := execs.Load(); n != 1 {
+		t.Errorf("executed %d simulations, want 1", n)
+	}
+}
+
 // TestClientDisconnectCancelsRun: when every waiter abandons an in-flight
 // simulation, its context is cancelled — the kernel aborts mid-run and the
 // service stays healthy for the next request. Runs the real simulator; the

@@ -200,9 +200,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, err)
 	}
 	var spec SweepSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), &spec); err != nil {
 		fail(http.StatusBadRequest, fmt.Errorf("decoding sweep spec: %w", err))
 		return
 	}

@@ -21,7 +21,6 @@ const (
 	stageAdmission = "admission" // enqueue to worker pickup
 	stageCache     = "cache"     // in-memory LRU lookup
 	stageDisk      = "disk"      // spill-directory read
-	stageProbe     = "probe"     // peer cache probe (GET /result)
 	stageForward   = "forward"   // request forwarded to ring owner
 	stageBreaker   = "breaker"   // open-breaker fast-fail (no network)
 	stageRun       = "run"       // local kernel execution

@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"relief/internal/accel"
 	"relief/internal/ckpt"
@@ -115,27 +116,13 @@ func NewRELIEF() Policy    { return core.New() }
 func NewRELIEFLAX() Policy { return core.NewLAX() }
 
 // PolicyByName constructs a policy from its paper name: "FCFS", "GEDF-D",
-// "GEDF-N", "LL", "LAX", "HetSched", "RELIEF", or "RELIEF-LAX".
+// "GEDF-N", "LL", "LAX", "HetSched", "RELIEF", or "RELIEF-LAX". The
+// simulator's ablation variants are not part of the public API.
 func PolicyByName(name string) (Policy, error) {
-	switch name {
-	case "FCFS":
-		return sched.FCFS{}, nil
-	case "GEDF-D":
-		return sched.GEDFD{}, nil
-	case "GEDF-N":
-		return sched.GEDFN{}, nil
-	case "LL":
-		return sched.LL{}, nil
-	case "LAX":
-		return sched.LAX{}, nil
-	case "HetSched":
-		return sched.HetSched{}, nil
-	case "RELIEF":
-		return core.New(), nil
-	case "RELIEF-LAX":
-		return core.NewLAX(), nil
+	if !slices.Contains(exp.FairnessPolicyNames, name) {
+		return nil, fmt.Errorf("relief: unknown policy %q", name)
 	}
-	return nil, fmt.Errorf("relief: unknown policy %q", name)
+	return exp.NewPolicy(name)
 }
 
 // NewDAG starts an empty application DAG with the given name, single-letter

@@ -150,8 +150,8 @@ fi
 echo "== cluster smoke"
 # Two peered replicas on pre-allocated ephemeral ports. Asserts the
 # cluster contract end to end: a scenario cached anywhere in the fleet is
-# served to peers from that cache (source "peer" + the per-peer hit
-# counter), and a distributed sweep merge is byte-identical to the same
+# served through the other replica from the owner's cache (a relayed
+# cached envelope, one simulation fleet-wide), and a distributed sweep merge is byte-identical to the same
 # sweep on a solo server — and to the relief-sweep client's local merge.
 if command -v curl >/dev/null 2>&1; then
 	test -x "$tmp/relief-serve" || go build -o "$tmp/relief-serve" ./cmd/relief-serve
@@ -185,10 +185,12 @@ if command -v curl >/dev/null 2>&1; then
 	if [ "$owner" = "$u1" ]; then nonowner="$u2"; else nonowner="$u1"; fi
 
 	# The same scenario through the non-owner must come from the owner's
-	# cache — never a second simulation.
-	curl -sf -X POST "$nonowner/run" -d '{"policy":"RELIEF","mix":"CG"}' >"$tmp/peer_run2.json"
-	grep -q '"source": "peer"' "$tmp/peer_run2.json"
-	curl -sf "$nonowner/metrics" | grep -q "^relief_serve_peer_hits_total{peer=\"$owner\"} 1$"
+	# cache, relayed by one forward — never a second simulation.
+	curl -sf -D "$tmp/peer_run2.hdr" -X POST "$nonowner/run" -d '{"policy":"RELIEF","mix":"CG"}' >"$tmp/peer_run2.json"
+	grep -q '"cached": true' "$tmp/peer_run2.json"
+	tr -d '\r' <"$tmp/peer_run2.hdr" | grep -qiFx "X-Relief-Served-By: $owner"
+	curl -sf "$owner/metrics" | grep -q '^relief_serve_cache_misses_total 1$'
+	curl -sf "$nonowner/metrics" | grep -q '^relief_serve_cache_misses_total 0$'
 
 	# Distributed sweep merge: fleet output is byte-identical to a solo
 	# server's, and to the relief-sweep client's locally merged document.
