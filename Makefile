@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race bench bench-smoke bench-report ci clean
+.PHONY: all build test vet lint race bench bench-smoke ci clean
 
 all: build
 
@@ -28,24 +28,20 @@ lint:
 race:
 	$(GO) test -race -short ./...
 
-# Full benchmark sweep (slow): every figure/table benchmark, with
-# allocation stats.
+# Every testing.B target (one per table/figure, plus micro-benchmarks)
+# with allocation stats (slow). Add -cpuprofile/-memprofile/-trace to a
+# single target for profiles; throughput and per-layer figures come from
+# benchmark/run.sh (benchmark/README.md).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# One-iteration smoke of the hot-path benchmark; keeps CI honest about
-# simulator throughput without the full sweep's cost.
+# One iteration of the hot-path benchmark: keeps the testing.B targets
+# building and running without the full sweep's cost.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig4$$' -benchtime=1x -benchmem .
-
-# Dated benchmark report at the repo root: the full experiment trajectory
-# plus distributed sweep throughput (POST /sweep against in-process fleets
-# of 1 and 3 replicas). Schema relief-bench/1; see docs/MODEL.md.
-bench-report:
-	$(GO) run ./cmd/relief-bench -benchjson auto -sweepbench >/dev/null
 
 ci:
 	./scripts/ci.sh
 
 clean:
-	rm -f BENCH_*.json cpu.out mem.out trace.out
+	rm -f cpu.out mem.out trace.out

@@ -188,16 +188,7 @@ func finishRun(ctx context.Context, sc Scenario, k *sim.Kernel, m *manager.Manag
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if done := ctx.Done(); done != nil {
-		k.SetInterrupt(func() bool {
-			select {
-			case <-done:
-				return true
-			default:
-				return false
-			}
-		})
-	}
+	k.SetInterrupt(ctx.Done())
 	var end sim.Time
 	switch {
 	case sc.Period > 0:

@@ -209,16 +209,7 @@ func RunSampled(ctx context.Context, sc Scenario, windows int) (*Estimate, error
 	if err := submitMix(m, sc); err != nil {
 		return nil, err
 	}
-	if done := ctx.Done(); done != nil {
-		k.SetInterrupt(func() bool {
-			select {
-			case <-done:
-				return true
-			default:
-				return false
-			}
-		})
-	}
+	k.SetInterrupt(ctx.Done())
 	prev := snapStats(st)
 	var dn, dm, dd []float64
 	for i := 1; i <= windows; i++ {

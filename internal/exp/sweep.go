@@ -122,9 +122,8 @@ func (s *Sweep) Err() error {
 
 // CostTotals sums the simulator-cost counters over every cached result:
 // scenarios simulated, kernel events dispatched, and Event structs
-// heap-allocated. The benchmark harness samples it before and after each
-// experiment, so a scenario's cost is attributed to the experiment that
-// first simulated it (cache hits cost nothing).
+// heap-allocated. Sampling it before and after a batch charges that batch
+// with only the scenarios it newly simulated (cache hits cost nothing).
 func (s *Sweep) CostTotals() (scenarios int, events, allocs uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -34,8 +34,8 @@ type Config struct {
 	// may shorten (never extend) it via timeout_ms.
 	Timeout time.Duration
 	// Runner overrides the simulation executor (nil = run the real
-	// kernel). Benchmark harnesses substitute fixed-cost runners to
-	// measure the serving and distribution layers in isolation.
+	// kernel). Tests substitute stub runners to exercise the serving and
+	// distribution layers without simulating.
 	Runner func(ctx context.Context, req Request) (*Result, error)
 	// PeerTransport overrides the HTTP transport used for peer forwards in
 	// cluster mode (nil = http.DefaultTransport). Tests inject faulty

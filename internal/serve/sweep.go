@@ -18,6 +18,8 @@ const SweepSchema = "relief-sweep/1"
 // unbounded amount of work.
 const maxSweepCells = 4096
 
+var errSweepTooLarge = fmt.Errorf("serve: sweep grid exceeds %d cells", maxSweepCells)
+
 // SweepSpec is the POST /sweep grid: the cross product of the axis fields
 // (mixes/contention levels × policies × topologies × bandwidth predictors),
 // with the scalar knobs applied to every cell — the same vocabulary as
@@ -120,12 +122,26 @@ func (sp SweepSpec) expand() ([]sweepCell, error) {
 			}
 			mixes = append(mixes, mixPoint{mix: sym.String(), continuous: c == workload.Continuous})
 		}
+		if len(mixes) > maxSweepCells {
+			return nil, errSweepTooLarge
+		}
 	}
 	for _, m := range sp.Mixes {
 		mixes = append(mixes, mixPoint{mix: m, continuous: sp.Continuous})
 	}
 	if len(mixes) == 0 {
 		return nil, fmt.Errorf("serve: empty sweep grid (no mixes or contention levels)")
+	}
+	// Bound the raw grid before enumerating it: dedup only shrinks it, but
+	// every raw point costs a normalize and a digest, and a 1 MiB body of
+	// repeated axis values would otherwise spell ~10^10 of them. Dividing
+	// instead of multiplying keeps the product from overflowing.
+	points := 1
+	for _, n := range []int{len(mixes), len(policies), len(topologies), len(bws), len(horizons)} {
+		if n > maxSweepCells/points {
+			return nil, errSweepTooLarge
+		}
+		points *= n
 	}
 
 	seen := make(map[string]bool)
@@ -153,9 +169,6 @@ func (sp SweepSpec) expand() ([]sweepCell, error) {
 						}
 						seen[d] = true
 						cells = append(cells, sweepCell{Request: req, Digest: d})
-						if len(cells) > maxSweepCells {
-							return nil, fmt.Errorf("serve: sweep grid exceeds %d cells", maxSweepCells)
-						}
 					}
 				}
 			}

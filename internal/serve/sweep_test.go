@@ -71,24 +71,70 @@ func TestSweepExpansion(t *testing.T) {
 	}
 }
 
-// TestSweepValidation: empty grids, unknown contention levels, bad mixes,
-// and unknown spec fields are 400s, not half-run sweeps.
+// invalidSweepSpecs are /sweep bodies that must be 400s, not half-run
+// sweeps: empty grids, unknown contention levels, bad mixes, unknown spec
+// fields, and raw grids past maxSweepCells even when dedup would shrink
+// them.
+var invalidSweepSpecs = map[string]string{
+	"empty grid":         `{}`,
+	"unknown contention": `{"contention":["extreme"]}`,
+	"bad mix":            `{"mixes":["QQ"]}`,
+	"unknown field":      `{"mixez":["C"]}`,
+	// 10^6 raw points that dedup to one cell: rejected before enumeration.
+	"oversized raw grid": `{"mixes":[` + strings.Repeat(`"C",`, 999) + `"C"],"policies":[` +
+		strings.Repeat(`"RELIEF",`, 999) + `"RELIEF"]}`,
+}
+
 func TestSweepValidation(t *testing.T) {
 	s := New(Config{Workers: 1, Runner: countingStub(new(atomic.Int32))})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for name, spec := range map[string]string{
-		"empty grid":         `{}`,
-		"unknown contention": `{"contention":["extreme"]}`,
-		"bad mix":            `{"mixes":["QQ"]}`,
-		"unknown field":      `{"mixez":["C"]}`,
-	} {
+	for name, spec := range invalidSweepSpecs {
 		resp, b := postSweep(t, ts.URL, spec)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400: %s", name, resp.StatusCode, b)
 		}
 	}
+}
+
+// FuzzSweepSpec drives arbitrary /sweep bodies through the handler's decode
+// and expand, without simulating. An accepted spec yields 1..maxSweepCells
+// cells with unique digests, each already normalized: normalizing it again
+// keeps its digest.
+func FuzzSweepSpec(f *testing.F) {
+	f.Add([]byte(`{"mixes":["CGL","CGL","CDH"],"policies":["FCFS","RELIEF"]}`))
+	f.Add([]byte(`{"contention":["low","continuous"]}`))
+	for _, spec := range invalidSweepSpecs {
+		f.Add([]byte(spec))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec SweepSpec
+		if err := decodeStrict(bytes.NewReader(body), &spec); err != nil {
+			return
+		}
+		cells, err := spec.expand()
+		if err != nil {
+			return
+		}
+		if len(cells) < 1 || len(cells) > maxSweepCells {
+			t.Fatalf("%s expanded to %d cells, want 1..%d", body, len(cells), maxSweepCells)
+		}
+		seen := make(map[string]bool, len(cells))
+		for _, c := range cells {
+			if seen[c.Digest] {
+				t.Fatalf("%s: duplicate digest %s", body, c.Digest)
+			}
+			seen[c.Digest] = true
+			req := c.Request
+			if err := req.Normalize(); err != nil {
+				t.Fatalf("%s: re-normalizing cell %+v: %v", body, c.Request, err)
+			}
+			if d := req.Digest(); d != c.Digest {
+				t.Fatalf("%s: re-normalizing cell %+v moved its digest %s to %s", body, c.Request, c.Digest, d)
+			}
+		}
+	})
 }
 
 // TestSweepStreamFraming: stream mode emits a schema header, one line per

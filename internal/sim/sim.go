@@ -67,27 +67,27 @@ type Event struct {
 func (e *Event) At() Time { return e.at }
 
 // interruptStride is how many dispatched events pass between polls of an
-// installed interrupt check. It is a power of two so the poll gate is a
+// installed interrupt channel. It is a power of two so the poll gate is a
 // single mask test on the hot dispatch loop.
 const interruptStride = 4096
 
 // Kernel is an event-driven simulation engine. The zero value is not usable;
 // call NewKernel.
 type Kernel struct {
-	now     Time
-	curBorn Time // born time of the event currently dispatching
-	seq     uint64
+	now        Time
+	curBorn    Time // born time of the event currently dispatching
+	seq        uint64
 	queue      []*Event // 4-ary min-heap ordered by (at, seq)
 	live       int      // queued events that are not cancelled
 	replayLive int      // live events that are replayable (AtReplay)
 	free       *Event   // recycled Event free list
-	fired   uint64
-	allocs  uint64 // Event allocations (free-list misses)
-	halted  bool
+	fired      uint64
+	allocs     uint64 // Event allocations (free-list misses)
+	halted     bool
 
-	// intr, if non-nil, is polled every interruptStride dispatches; a true
-	// return aborts the run (see SetInterrupt).
-	intr        func() bool
+	// intr, if non-nil, is polled every interruptStride dispatches; once
+	// it is closed the run aborts (see SetInterrupt).
+	intr        <-chan struct{}
 	interrupted bool
 }
 
@@ -221,23 +221,22 @@ func (k *Kernel) Cancel(e *Event) {
 // Halt stops the current Run/RunUntil loop after the in-flight event returns.
 func (k *Kernel) Halt() { k.halted = true }
 
-// SetInterrupt installs an abort check polled once every few thousand
-// dispatched events (cheap enough for the hot loop). When check returns
-// true the run halts after the in-flight event and Interrupted reports
-// true. The check runs on the simulation goroutine; it may read shared
-// state such as a context's Done channel, and it must be cheap. Pass nil
-// to remove.
+// SetInterrupt installs an abort channel polled once every few thousand
+// dispatched events (cheap enough for the hot loop). Once done is closed
+// the run halts after the in-flight event and Interrupted reports true.
+// Pass a context's Done channel; nil (as from context.Background) installs
+// nothing, so the dispatch loop stays poll-free.
 //
 // Interrupts exist for host-side cancellation (timeouts, client
 // disconnects): an interrupted run is abandoned wholesale, never resumed,
 // so determinism of completed runs is unaffected.
-func (k *Kernel) SetInterrupt(check func() bool) {
-	k.intr = check
+func (k *Kernel) SetInterrupt(done <-chan struct{}) {
+	k.intr = done
 	k.interrupted = false
 }
 
 // Interrupted reports whether the last Run/RunUntil was aborted by the
-// interrupt check installed with SetInterrupt.
+// interrupt channel installed with SetInterrupt.
 func (k *Kernel) Interrupted() bool { return k.interrupted }
 
 // Pending reports how many non-cancelled ordinary (non-weak) events are
@@ -323,7 +322,7 @@ func (k *Kernel) RunUntil(limit Time) Time {
 		fn := next.fn
 		fn()
 		k.recycle(next)
-		if k.intr != nil && k.fired%interruptStride == 0 && k.intr() {
+		if k.intr != nil && k.fired%interruptStride == 0 && k.interruptClosed() {
 			k.interrupted = true
 			k.halted = true
 		}
@@ -332,6 +331,16 @@ func (k *Kernel) RunUntil(limit Time) Time {
 		k.now = limit
 	}
 	return k.now
+}
+
+// interruptClosed reports whether the SetInterrupt channel is closed.
+func (k *Kernel) interruptClosed() bool {
+	select {
+	case <-k.intr:
+		return true
+	default:
+		return false
+	}
 }
 
 // recycle returns a dispatched or discarded event to the free list.

@@ -477,7 +477,7 @@ func (s *System) RunContext(ctx context.Context) (*Report, error) {
 		return nil, err
 	}
 	s.mustRunOnce()
-	s.installInterrupt(ctx)
+	s.kernel.SetInterrupt(ctx.Done())
 	s.mgr.Run()
 	if err := s.runErr(ctx); err != nil {
 		return nil, err
@@ -495,30 +495,12 @@ func (s *System) RunForContext(ctx context.Context, horizon Time) (*Report, erro
 		return nil, err
 	}
 	s.mustRunOnce()
-	s.installInterrupt(ctx)
+	s.kernel.SetInterrupt(ctx.Done())
 	s.mgr.RunContinuous(horizon)
 	if err := s.runErr(ctx); err != nil {
 		return nil, err
 	}
 	return newReport(s.st), nil
-}
-
-// installInterrupt arms the kernel's cancellation poll with ctx's Done
-// channel. A context that can never be cancelled installs nothing, keeping
-// the hot dispatch loop poll-free.
-func (s *System) installInterrupt(ctx context.Context) {
-	done := ctx.Done()
-	if done == nil {
-		return
-	}
-	s.kernel.SetInterrupt(func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	})
 }
 
 // runErr distils a finished context-aware run into its error: the context's

@@ -1,9 +1,10 @@
 #!/bin/sh
 # CI gate: build, vet, relief-lint (the project's own static-analysis
 # suite, see docs/LINTING.md), optional third-party linters, full test
-# suite (including the golden main-grid determinism digest), then a
-# one-iteration benchmark smoke run so simulator-throughput regressions
-# surface in the log.
+# suite (including the golden main-grid determinism digest), the race
+# detector, vet and tests of the benchmark module (benchmark/, whose
+# smoke test runs every workload once), then smoke runs of the CLIs and
+# the serving fleet. Throughput is measured by benchmark/run.sh, not here.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -69,6 +70,11 @@ go test -race -short $(go list ./... | grep -v -e '^relief/internal/serve' -e '^
 
 echo "== bench smoke"
 go test -run '^$' -bench 'BenchmarkFig4$' -benchtime=1x -benchmem .
+
+echo "== benchmark module"
+# benchmark/ is a module of its own, outside "go test ./..." above; it
+# calls internal packages directly, so a main-module change can break it.
+(cd benchmark && go vet ./... && go test ./...)
 
 echo "== metrics smoke"
 go run ./cmd/relief-sim -mix C -policy RELIEF -metrics "$tmp/m" >/dev/null
@@ -429,16 +435,5 @@ else
 	echo "curl not installed; skipping"
 fi
 
-echo "== bench report smoke"
-go build -o "$tmp/relief-bench" ./cmd/relief-bench
-# Pin the report filename: "auto" names the file BENCH_<date>.json, which
-# makes the check ambiguous when several runs share $tmp (or a run
-# straddles midnight).
-(cd "$tmp" && ./relief-bench -exp fig12 -benchjson BENCH_smoke.json -sweepbench >/dev/null)
-grep -q '"schema": "relief-bench/1"' "$tmp/BENCH_smoke.json"
-# The distributed-sweep section must be present and show the 3-replica
-# fleet beating the solo run (speedup > 1; the committed BENCH report
-# documents the >= 2x figure). The solo run always reports "speedup": 1
-# exactly, so any 1.x or >= 2 match is the fleet run.
-grep -q '"mode": "fixed-cell-cost"' "$tmp/BENCH_smoke.json"
-grep -Eq '"speedup": (1\.[0-9]+|[2-9])' "$tmp/BENCH_smoke.json"
+echo "== relief-bench smoke"
+go run ./cmd/relief-bench -exp fig12 >/dev/null
