@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"relief/internal/ckpt"
-	"relief/internal/manager"
 	"relief/internal/sim"
-	"relief/internal/stats"
 )
 
 // RunToCheckpoint warms a periodic scenario and captures its state at the
@@ -19,27 +17,29 @@ import (
 // overlap has no capturable instant, and callers should fall back to a
 // full run.
 func RunToCheckpoint(ctx context.Context, sc Scenario, warmAt sim.Time) ([]byte, error) {
+	return warmCheckpoint(ctx, sc, func(s *Sim) { s.Manager.ArmCheckpoint(warmAt) })
+}
+
+// warmCheckpoint runs a periodic scenario from cold with the checkpoint
+// trigger arm installs on the built simulation, and seals the state the
+// manager captured under the scenario's keys.
+func warmCheckpoint(ctx context.Context, sc Scenario, arm func(*Sim)) ([]byte, error) {
 	if sc.Period <= 0 {
 		return nil, fmt.Errorf("exp: checkpointing requires a periodic scenario (Period > 0)")
 	}
 	if sc.Trace != nil {
-		return nil, fmt.Errorf("exp: tracing cannot cross a checkpoint")
+		return nil, errTraceCheckpoint
 	}
 	cfg, err := sc.managerConfig()
 	if err != nil {
 		return nil, err
 	}
-	k := sim.NewKernel()
-	st := stats.New()
-	m := manager.New(k, cfg, st)
-	m.ArmCheckpoint(warmAt)
-	if err := submitMix(m, sc); err != nil {
+	s := NewSim(cfg)
+	arm(s)
+	if _, err := s.runScenario(ctx, sc); err != nil {
 		return nil, err
 	}
-	if _, err := finishRun(ctx, sc, k, m, st); err != nil {
-		return nil, err
-	}
-	data, at, err := m.CheckpointData()
+	data, at, err := s.Manager.CheckpointData()
 	if err != nil {
 		return nil, err
 	}
@@ -55,9 +55,6 @@ func RunFromCheckpoint(ctx context.Context, sc Scenario, env *ckpt.Envelope) (*R
 	if sc.Period <= 0 {
 		return nil, fmt.Errorf("exp: checkpointing requires a periodic scenario (Period > 0)")
 	}
-	if sc.Trace != nil {
-		return nil, fmt.Errorf("exp: tracing cannot cross a checkpoint")
-	}
 	if fk := ForkKey(sc); env.ForkKey != fk {
 		return nil, fmt.Errorf("exp: checkpoint fork key mismatch:\n  checkpoint %q\n  scenario   %q", env.ForkKey, fk)
 	}
@@ -69,13 +66,9 @@ func RunFromCheckpoint(ctx context.Context, sc Scenario, env *ckpt.Envelope) (*R
 	if err != nil {
 		return nil, err
 	}
-	k := sim.NewKernel()
-	m, st, err := manager.Restore(k, cfg, env.Payload)
+	s, err := RestoreSim(cfg, env)
 	if err != nil {
 		return nil, err
 	}
-	if err := submitMix(m, sc); err != nil {
-		return nil, err
-	}
-	return finishRun(ctx, sc, k, m, st)
+	return s.runScenario(ctx, sc)
 }

@@ -3,11 +3,13 @@ package exp
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"strings"
 	"testing"
 
 	"relief/internal/ckpt"
 	"relief/internal/fault"
+	"relief/internal/manager"
 	"relief/internal/metrics"
 	"relief/internal/sim"
 	"relief/internal/workload"
@@ -227,6 +229,46 @@ func TestCheckpointEnvelopeTamper(t *testing.T) {
 
 	if _, err := ckpt.Open([]byte("not json")); err == nil {
 		t.Error("malformed envelope accepted")
+	}
+
+	// The checksum guards integrity, not authenticity: a re-sealed payload
+	// with out-of-range instance state opens fine, so restore itself must
+	// refuse it with an error, never a panic or a silently wrong state.
+	opened, err := ckpt.Open(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(*manager.InstanceState){
+		"next partition": func(is *manager.InstanceState) { is.NextPart = 99 },
+		"health":         func(is *manager.InstanceState) { is.Health = 258 },
+	} {
+		var ck manager.Checkpoint
+		if err := gob.NewDecoder(bytes.NewReader(opened.Payload)).Decode(&ck); err != nil {
+			t.Fatal(err)
+		}
+		mutate(&ck.Instances[0])
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(&ck); err != nil {
+			t.Fatal(err)
+		}
+		resealed, err := ckpt.Seal(opened.Key, opened.ForkKey, opened.CapturedPs, payload.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad, err := ckpt.Open(resealed)
+		if err != nil {
+			t.Fatalf("%s: re-sealed envelope rejected by Open: %v", name, err)
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: restore panicked: %v", name, p)
+				}
+			}()
+			if _, err := RunFromCheckpoint(context.Background(), sc, bad); err == nil {
+				t.Errorf("%s: out-of-range instance state restored without error", name)
+			}
+		}()
 	}
 }
 

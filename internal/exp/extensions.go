@@ -1,12 +1,12 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"relief/internal/accel"
 	"relief/internal/design"
 	"relief/internal/graph"
-	"relief/internal/manager"
 	"relief/internal/sched"
 	"relief/internal/sim"
 	"relief/internal/stats"
@@ -125,18 +125,19 @@ func runPeriodic(policyName string, mix []workload.App) (*stats.Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := sim.NewKernel()
-	st := stats.New()
-	m := manager.New(k, cfg, st)
+	s := NewSim(cfg)
 	for _, app := range mix {
 		app := app
-		if err := m.SubmitPeriodic(func() *graph.DAG { return workload.MustBuild(app) },
+		if err := s.Manager.SubmitPeriodic(func() *graph.DAG { return workload.MustBuild(app) },
 			app.Deadline(), workload.ContinuousHorizon); err != nil {
 			return nil, err
 		}
 	}
-	m.RunContinuous(workload.ContinuousHorizon)
-	return st, nil
+	run := func() sim.Time { return s.Manager.RunContinuous(workload.ContinuousHorizon) }
+	if _, err := s.Drive(context.TODO(), run); err != nil {
+		return nil, err
+	}
+	return s.Stats, nil
 }
 
 // TiledStudy is an extension experiment probing the paper's §V-H
@@ -178,20 +179,20 @@ func runTiled(mix []workload.App, topo string) (*stats.Stats, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	k := sim.NewKernel()
-	st := stats.New()
-	m := manager.New(k, cfg, st)
+	s := NewSim(cfg)
 	for _, app := range mix {
 		d, err := workload.BuildTiled(app, 2, 4)
 		if err != nil {
 			return nil, 0, err
 		}
-		if err := m.Submit(d, 0, nil); err != nil {
+		if err := s.Manager.Submit(d, 0, nil); err != nil {
 			return nil, 0, err
 		}
 	}
-	m.Run()
-	return st, m.Interconnect().Occupancy(), nil
+	if _, err := s.Drive(context.TODO(), s.Manager.Run); err != nil {
+		return nil, 0, err
+	}
+	return s.Stats, s.Manager.Interconnect().Occupancy(), nil
 }
 
 // instancesOfEach is a PlatformSpec.Instances giving every accelerator

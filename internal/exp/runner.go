@@ -5,8 +5,10 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
+	"relief/internal/ckpt"
 	"relief/internal/core"
 	"relief/internal/fault"
 	"relief/internal/graph"
@@ -122,13 +124,61 @@ func RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return NewSim(cfg).runScenario(ctx, sc)
+}
+
+// Sim is the lifecycle every simulation goes through: NewSim or RestoreSim
+// builds the event kernel, the manager modelling the platform on it and the
+// statistics sink the manager writes; the caller submits a schedule to
+// Manager; Drive runs it under cancellation.
+type Sim struct {
+	Kernel  *sim.Kernel
+	Manager *manager.Manager
+	Stats   *stats.Stats
+}
+
+// NewSim builds a cold simulation of the platform cfg describes.
+func NewSim(cfg manager.Config) *Sim {
 	k := sim.NewKernel()
 	st := stats.New()
-	m := manager.New(k, cfg, st)
-	if err := submitMix(m, sc); err != nil {
+	return &Sim{Kernel: k, Manager: manager.New(k, cfg, st), Stats: st}
+}
+
+// errTraceCheckpoint refuses tracing across a capture or restore: the
+// timeline would silently miss everything on the other side of it.
+var errTraceCheckpoint = errors.New("exp: tracing cannot cross a checkpoint")
+
+// RestoreSim builds a simulation primed with the checkpoint in env (see
+// manager.Restore). cfg must describe the platform the checkpoint was taken
+// on, and the caller must re-submit the full schedule before driving it.
+func RestoreSim(cfg manager.Config, env *ckpt.Envelope) (*Sim, error) {
+	if cfg.Trace != nil {
+		return nil, errTraceCheckpoint
+	}
+	k := sim.NewKernel()
+	m, st, err := manager.Restore(k, cfg, env.Payload)
+	if err != nil {
 		return nil, err
 	}
-	return finishRun(ctx, sc, k, m, st)
+	return &Sim{Kernel: k, Manager: m, Stats: st}, nil
+}
+
+// Drive calls run — Manager.Run, Manager.RunContinuous or Kernel.RunUntil
+// on this simulation — with ctx's cancellation wired into the kernel, and
+// returns run's end time. A context already done runs nothing; one that
+// ends mid-run aborts it within a few thousand events, and Drive then
+// returns the context's error: an abandoned run's statistics are partial
+// and must be discarded.
+func (s *Sim) Drive(ctx context.Context, run func() sim.Time) (sim.Time, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	s.Kernel.SetInterrupt(ctx.Done())
+	end := run()
+	if s.Kernel.Interrupted() { // only ctx.Done() interrupts, so ctx.Err() is set
+		return 0, fmt.Errorf("exp: run cancelled: %w", ctx.Err())
+	}
+	return end, nil
 }
 
 // managerConfig resolves the scenario's platform and attaches its
@@ -182,30 +232,26 @@ func submitMix(m *manager.Manager, sc Scenario) error {
 	return nil
 }
 
-// finishRun wires cancellation, drives the submitted simulation to its end,
-// and assembles the result.
-func finishRun(ctx context.Context, sc Scenario, k *sim.Kernel, m *manager.Manager, st *stats.Stats) (*Result, error) {
-	if err := ctx.Err(); err != nil {
+// runScenario submits sc's schedule and drives it to sc's end: periodic
+// scenarios to their horizon, continuous contention to its cutoff, anything
+// else to completion.
+func (s *Sim) runScenario(ctx context.Context, sc Scenario) (*Result, error) {
+	if err := submitMix(s.Manager, sc); err != nil {
 		return nil, err
 	}
-	k.SetInterrupt(ctx.Done())
-	var end sim.Time
+	run := s.Manager.Run
 	switch {
 	case sc.Period > 0:
-		end = m.RunContinuous(sc.EffectiveHorizon())
+		run = func() sim.Time { return s.Manager.RunContinuous(sc.EffectiveHorizon()) }
 	case sc.Contention == workload.Continuous:
-		end = m.RunContinuous(workload.ContinuousHorizon)
-	default:
-		end = m.Run()
+		run = func() sim.Time { return s.Manager.RunContinuous(workload.ContinuousHorizon) }
 	}
-	if k.Interrupted() {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("exp: run cancelled: %w", err)
-		}
-		return nil, fmt.Errorf("exp: run interrupted")
+	end, err := s.Drive(ctx, run)
+	if err != nil {
+		return nil, err
 	}
-	res := &Result{Scenario: sc, Stats: st, End: end}
-	if dc := m.DRAMController(); dc != nil {
+	res := &Result{Scenario: sc, Stats: s.Stats, End: end}
+	if dc := s.Manager.DRAMController(); dc != nil {
 		res.RowHitRate = dc.RowHitRate()
 	}
 	return res, nil

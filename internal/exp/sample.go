@@ -18,7 +18,6 @@ import (
 	"math"
 
 	"relief/internal/ckpt"
-	"relief/internal/manager"
 	"relief/internal/metrics"
 	"relief/internal/sim"
 	"relief/internal/stats"
@@ -103,46 +102,22 @@ func runToSteadyCheckpoint(ctx context.Context, sc Scenario) ([]byte, error) {
 	det := sc
 	det.Metrics = metrics.NewRegistry()
 	det.MetricsInterval = det.Period
-	det.Trace = nil
-	cfg, err := det.managerConfig()
-	if err != nil {
-		return nil, err
-	}
-	k := sim.NewKernel()
-	st := stats.New()
-	m := manager.New(k, cfg, st)
-	// The detector is a weak observer chained after the probe at each period
-	// tick (probes are scheduled first, so the same-tick sample precedes the
-	// read). Arming the checkpoint mid-run is safe: capture still waits for
-	// the next quiescent release.
-	armed := false
-	var watch func()
-	watch = func() {
-		if !armed {
+	return warmCheckpoint(ctx, det, func(s *Sim) {
+		// The detector is a weak observer chained after the probe at each
+		// period tick (probes are scheduled first, so the same-tick sample
+		// precedes the read). Arming the checkpoint mid-run is safe: capture
+		// still waits for the next quiescent release. A workload that never
+		// settles is never armed, and the capture reports that.
+		var watch func()
+		watch = func() {
 			if _, vals := det.Metrics.Series("relief_nodes_done_total"); steady(vals) {
-				m.ArmCheckpoint(k.Now())
-				armed = true
+				s.Manager.ArmCheckpoint(s.Kernel.Now())
+				return
 			}
+			s.Kernel.ScheduleWeak(det.Period, watch)
 		}
-		if !armed {
-			k.ScheduleWeak(det.Period, watch)
-		}
-	}
-	k.ScheduleWeak(det.Period, watch)
-	if err := submitMix(m, det); err != nil {
-		return nil, err
-	}
-	if _, err := finishRun(ctx, det, k, m, st); err != nil {
-		return nil, err
-	}
-	if !armed {
-		return nil, fmt.Errorf("exp: workload never reached steady state within the %v horizon", det.EffectiveHorizon())
-	}
-	data, at, err := m.CheckpointData()
-	if err != nil {
-		return nil, err
-	}
-	return ckpt.Seal(ScenarioKey(sc), ForkKey(sc), int64(at), data)
+		s.Kernel.ScheduleWeak(det.Period, watch)
+	})
 }
 
 type sampleSnap struct{ nodes, met, dram float64 }
@@ -159,11 +134,14 @@ func snapStats(st *stats.Stats) sampleSnap {
 // most `windows` one-period windows from a steady-state checkpoint and
 // extrapolating, instead of simulating the full horizon. When the workload
 // cannot be sampled (it never quiesces or never settles), it falls back to
-// a full run and returns exact values with Sampled=false.
+// a full run and returns exact values with Sampled=false. The scenario's
+// Trace is ignored: tracing cannot cross the checkpoint the windows start
+// from.
 func RunSampled(ctx context.Context, sc Scenario, windows int) (*Estimate, error) {
 	if sc.Period <= 0 {
 		return nil, fmt.Errorf("exp: interval sampling requires a periodic scenario (Period > 0)")
 	}
+	sc.Trace = nil
 	if windows < 2 {
 		windows = 2
 	}
@@ -201,26 +179,21 @@ func RunSampled(ctx context.Context, sc Scenario, windows int) (*Estimate, error
 	if err != nil {
 		return nil, err
 	}
-	k := sim.NewKernel()
-	m, st, err := manager.Restore(k, cfg, env.Payload)
+	s, err := RestoreSim(cfg, env)
 	if err != nil {
 		return nil, err
 	}
-	if err := submitMix(m, sc); err != nil {
+	if err := submitMix(s.Manager, sc); err != nil {
 		return nil, err
 	}
-	k.SetInterrupt(ctx.Done())
-	prev := snapStats(st)
+	prev := snapStats(s.Stats)
 	var dn, dm, dd []float64
 	for i := 1; i <= windows; i++ {
-		k.RunUntil(warm + sim.Time(i)*sc.Period)
-		if k.Interrupted() {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("exp: sampling cancelled: %w", err)
-			}
-			return nil, fmt.Errorf("exp: sampling interrupted")
+		end := warm + sim.Time(i)*sc.Period
+		if _, err := s.Drive(ctx, func() sim.Time { return s.Kernel.RunUntil(end) }); err != nil {
+			return nil, err
 		}
-		cur := snapStats(st)
+		cur := snapStats(s.Stats)
 		dn = append(dn, cur.nodes-prev.nodes)
 		dm = append(dm, cur.met-prev.met)
 		dd = append(dd, cur.dram-prev.dram)

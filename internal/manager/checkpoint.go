@@ -210,6 +210,12 @@ func Restore(k *sim.Kernel, cfg Config, data []byte) (*Manager, *stats.Stats, er
 		if int(inst.Kind) != is.Kind {
 			return nil, nil, fmt.Errorf("manager: restore instance %d kind mismatch with checkpoint", i)
 		}
+		if is.NextPart < 0 || is.NextPart >= len(inst.Parts) {
+			return nil, nil, fmt.Errorf("manager: checkpoint instance %d next partition %d outside [0, %d)", i, is.NextPart, len(inst.Parts))
+		}
+		if is.Health < 0 || is.Health > int(accel.Dead) {
+			return nil, nil, fmt.Errorf("manager: checkpoint instance %d has invalid health %d", i, is.Health)
+		}
 		inst.ComputeBusy = is.ComputeBusy
 		inst.Health = accel.Health(is.Health)
 		inst.NextPart = is.NextPart

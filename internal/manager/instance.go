@@ -579,17 +579,10 @@ func (m *Manager) finishNode(n *graph.Node) {
 // makespan and interconnect occupancy. Returns the end time.
 func (m *Manager) Run() sim.Time {
 	m.k.Run()
-	m.met.FinalSample(m.k.Now())
-	m.st.Makespan = m.lastDone
-	if m.st.Makespan == 0 {
-		m.st.Makespan = m.k.Now()
+	if m.lastDone == 0 {
+		return m.finish(m.k.Now())
 	}
-	m.st.ComputeBusy = m.totalComputeBusy()
-	m.st.InterconnectOccupancy = m.ic.Occupancy()
-	m.st.EventsFired = m.k.Fired()
-	m.st.EventAllocs = m.k.EventAllocs()
-	m.mergeFaultCounts()
-	return m.k.Now()
+	return m.finish(m.lastDone)
 }
 
 // RunContinuous runs with DAG resubmission until the horizon (paper §IV-C:
@@ -597,34 +590,29 @@ func (m *Manager) Run() sim.Time {
 func (m *Manager) RunContinuous(horizon sim.Time) sim.Time {
 	m.horizon = horizon
 	m.k.RunUntil(horizon)
+	return m.finish(horizon)
+}
+
+// finish records the end-of-run statistics — the final probe sample,
+// makespan, busy time, interconnect occupancy, kernel event counters and
+// the fault injector's low-level counters — and returns the end time.
+func (m *Manager) finish(makespan sim.Time) sim.Time {
 	m.met.FinalSample(m.k.Now())
-	m.st.Makespan = horizon
-	m.st.ComputeBusy = m.totalComputeBusy()
+	m.st.Makespan = makespan
+	m.st.ComputeBusy = 0
+	for _, inst := range m.insts {
+		m.st.ComputeBusy += inst.ComputeBusy
+	}
 	m.st.InterconnectOccupancy = m.ic.Occupancy()
 	m.st.EventsFired = m.k.Fired()
 	m.st.EventAllocs = m.k.EventAllocs()
-	m.mergeFaultCounts()
+	if m.inj != nil {
+		c := m.inj.Counts()
+		m.st.Faults.DMAStalls = c.DMAStalls
+		m.st.Faults.DMACorruptions = c.DMACorruptions
+		m.st.Faults.DRAMErrors = c.DRAMErrors
+	}
 	return m.k.Now()
-}
-
-// mergeFaultCounts copies the injector's low-level event counters into the
-// run's stats at end of simulation.
-func (m *Manager) mergeFaultCounts() {
-	if m.inj == nil {
-		return
-	}
-	c := m.inj.Counts()
-	m.st.Faults.DMAStalls = c.DMAStalls
-	m.st.Faults.DMACorruptions = c.DMACorruptions
-	m.st.Faults.DRAMErrors = c.DRAMErrors
-}
-
-func (m *Manager) totalComputeBusy() sim.Time {
-	var total sim.Time
-	for _, inst := range m.insts {
-		total += inst.ComputeBusy
-	}
-	return total
 }
 
 // Instances exposes the accelerator instances (read-only use).

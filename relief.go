@@ -249,16 +249,14 @@ func WithMetricsInterval(d Time) Option {
 // docs/CHECKPOINT.md. Tracing cannot cross a checkpoint, so WithCheckpoint
 // is incompatible with Config.Trace.
 func WithCheckpoint(armAt Time) Option {
-	return Option{sys: func(s *System) { s.mgr.ArmCheckpoint(armAt) }}
+	return Option{sys: func(s *System) { s.sim.Manager.ArmCheckpoint(armAt) }}
 }
 
 // System is a configured SoC simulation accepting DAG submissions.
 type System struct {
-	kernel *sim.Kernel
-	mgr    *manager.Manager
-	st     *stats.Stats
-	ran    bool
-	err    error
+	sim *exp.Sim // only Stats is set when construction failed
+	ran bool
+	err error
 }
 
 // NewSystem builds a simulation from cfg plus options. Configuration
@@ -267,15 +265,16 @@ type System struct {
 // reported by Err and by every subsequent Submit call, so externally
 // supplied names can be validated after construction.
 func NewSystem(cfg Config, opts ...Option) *System {
-	k := sim.NewKernel()
-	st := stats.New()
-	s := &System{kernel: k, st: st}
 	mcfg, err := buildConfig(cfg, opts)
 	if err != nil {
-		s.err = err
-		return s
+		return &System{sim: &exp.Sim{Stats: stats.New()}, err: err}
 	}
-	s.mgr = manager.New(k, mcfg, st)
+	return newSystem(exp.NewSim(mcfg), opts)
+}
+
+// newSystem wraps a built simulation and applies the system-level options.
+func newSystem(sm *exp.Sim, opts []Option) *System {
+	s := &System{sim: sm}
 	for _, o := range opts {
 		if o.sys != nil {
 			o.sys(s)
@@ -345,21 +344,11 @@ func RunFrom(cfg Config, envelope []byte, opts ...Option) (*System, Time, error)
 	if err != nil {
 		return nil, 0, err
 	}
-	if mcfg.Trace != nil {
-		return nil, 0, fmt.Errorf("relief: tracing cannot cross a checkpoint")
-	}
-	k := sim.NewKernel()
-	m, st, err := manager.Restore(k, mcfg, env.Payload)
+	sm, err := exp.RestoreSim(mcfg, env)
 	if err != nil {
 		return nil, 0, err
 	}
-	s := &System{kernel: k, mgr: m, st: st}
-	for _, o := range opts {
-		if o.sys != nil {
-			o.sys(s)
-		}
-	}
-	return s, Time(env.CapturedPs), nil
+	return newSystem(sm, opts), Time(env.CapturedPs), nil
 }
 
 // Err returns the first error the system recorded: a construction error
@@ -369,8 +358,8 @@ func (s *System) Err() error {
 	if s.err != nil {
 		return s.err
 	}
-	if s.mgr != nil {
-		return s.mgr.Err()
+	if s.sim.Manager != nil {
+		return s.sim.Manager.Err()
 	}
 	return nil
 }
@@ -384,7 +373,7 @@ func (s *System) Submit(d *DAG, release Time) error {
 	if err := d.Finalize(); err != nil {
 		return err
 	}
-	return s.mgr.Submit(d, release, nil)
+	return s.sim.Manager.Submit(d, release, nil)
 }
 
 // SubmitLoop registers an application that re-submits itself whenever an
@@ -402,7 +391,7 @@ func (s *System) SubmitLoop(build func() *DAG, release Time) error {
 	if err := first.Finalize(); err != nil {
 		return err
 	}
-	return s.mgr.Submit(first, release, func() *DAG {
+	return s.sim.Manager.Submit(first, release, func() *DAG {
 		d := build()
 		if d == nil {
 			return nil // the manager records the error and stops the loop
@@ -425,7 +414,7 @@ func (s *System) SubmitPeriodic(build func() *DAG, period, horizon Time) error {
 		return s.err
 	}
 	var buildErr error
-	err := s.mgr.SubmitPeriodic(func() *DAG {
+	err := s.sim.Manager.SubmitPeriodic(func() *DAG {
 		d := build()
 		if d == nil {
 			buildErr = fmt.Errorf("relief: SubmitPeriodic build returned nil DAG")
@@ -446,21 +435,18 @@ func (s *System) SubmitPeriodic(build func() *DAG, period, horizon Time) error {
 // Run executes the simulation until every submitted DAG completes and
 // returns the report. A System can only run once.
 func (s *System) Run() *Report {
-	s.mustRunOnce()
-	if s.mgr != nil {
-		s.mgr.Run()
-	}
-	return newReport(s.st)
+	// A context that is never done cannot fail the run, and runtime errors
+	// surface through Err.
+	_ = s.drive(context.Background(), (*manager.Manager).Run)
+	return newReport(s.sim.Stats)
 }
 
 // RunFor executes the simulation until the horizon (for SubmitLoop
 // workloads) and returns the report over finished work.
 func (s *System) RunFor(horizon Time) *Report {
-	s.mustRunOnce()
-	if s.mgr != nil {
-		s.mgr.RunContinuous(horizon)
-	}
-	return newReport(s.st)
+	// As in Run, the error is always nil or reported by Err.
+	_ = s.drive(context.Background(), func(m *manager.Manager) Time { return m.RunContinuous(horizon) })
+	return newReport(s.sim.Stats)
 }
 
 // RunContext is Run with cancellation: the simulation aborts promptly once
@@ -470,50 +456,43 @@ func (s *System) RunFor(horizon Time) *Report {
 // events), so it is safe to cancel from another goroutine; this is the
 // entry point the serving layer drives (see internal/serve).
 func (s *System) RunContext(ctx context.Context) (*Report, error) {
-	if err := s.Err(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s.mustRunOnce()
-	s.kernel.SetInterrupt(ctx.Done())
-	s.mgr.Run()
-	if err := s.runErr(ctx); err != nil {
-		return nil, err
-	}
-	return newReport(s.st), nil
+	return s.runContext(ctx, (*manager.Manager).Run)
 }
 
 // RunForContext is RunFor with cancellation, with the same contract as
 // RunContext.
 func (s *System) RunForContext(ctx context.Context, horizon Time) (*Report, error) {
+	return s.runContext(ctx, func(m *manager.Manager) Time { return m.RunContinuous(horizon) })
+}
+
+// runContext drives the system under ctx and reports the run, or the
+// system's error: construction, cancellation, or a runtime failure.
+func (s *System) runContext(ctx context.Context, run func(*manager.Manager) Time) (*Report, error) {
 	if err := s.Err(); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
+	if err := s.drive(ctx, run); err != nil {
 		return nil, err
 	}
-	s.mustRunOnce()
-	s.kernel.SetInterrupt(ctx.Done())
-	s.mgr.RunContinuous(horizon)
-	if err := s.runErr(ctx); err != nil {
+	if err := s.Err(); err != nil {
 		return nil, err
 	}
-	return newReport(s.st), nil
+	return newReport(s.sim.Stats), nil
 }
 
-// runErr distils a finished context-aware run into its error: the context's
-// cancellation cause if the kernel was interrupted, else any runtime error
-// the manager recorded.
-func (s *System) runErr(ctx context.Context) error {
-	if s.kernel.Interrupted() {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("relief: run cancelled: %w", err)
-		}
-		return fmt.Errorf("relief: run interrupted")
+// drive spends the system's one run on run under ctx. A context already
+// done leaves the run unspent; a system that failed to build runs nothing.
+func (s *System) drive(ctx context.Context, run func(*manager.Manager) Time) error {
+	m := s.sim.Manager
+	if m == nil {
+		s.mustRunOnce()
+		return s.err
 	}
-	return s.Err()
+	_, err := s.sim.Drive(ctx, func() Time {
+		s.mustRunOnce()
+		return run(m)
+	})
+	return err
 }
 
 func (s *System) mustRunOnce() {
@@ -533,7 +512,7 @@ func (s *System) Checkpoint() ([]byte, error) {
 	if err := s.Err(); err != nil {
 		return nil, err
 	}
-	data, at, err := s.mgr.CheckpointData()
+	data, at, err := s.sim.Manager.CheckpointData()
 	if err != nil {
 		return nil, err
 	}
@@ -541,11 +520,11 @@ func (s *System) Checkpoint() ([]byte, error) {
 }
 
 // Stats exposes the raw metric sink for advanced use.
-func (s *System) Stats() *stats.Stats { return s.st }
+func (s *System) Stats() *stats.Stats { return s.sim.Stats }
 
 // WriteGem5Stats dumps the run's statistics in gem5's stats.txt format —
 // the output format of the paper's artifact.
-func (s *System) WriteGem5Stats(w io.Writer) error { return s.st.WriteGem5Style(w) }
+func (s *System) WriteGem5Stats(w io.Writer) error { return s.sim.Stats.WriteGem5Style(w) }
 
 // Report summarises a finished simulation.
 type Report struct {

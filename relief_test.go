@@ -1,6 +1,7 @@
 package relief_test
 
 import (
+	"io"
 	"math"
 	"testing"
 
@@ -121,6 +122,12 @@ func TestSystemInvalidPolicyErr(t *testing.T) {
 		}
 		if r := sys.Run(); r == nil || r.NodesDone != 0 {
 			t.Fatalf("%+v: broken system must return an empty report", cfg)
+		}
+		if st := sys.Stats(); st == nil || st.NodesDone != 0 {
+			t.Fatalf("%+v: broken system must expose empty stats", cfg)
+		}
+		if err := sys.WriteGem5Stats(io.Discard); err != nil {
+			t.Fatalf("%+v: WriteGem5Stats on broken system: %v", cfg, err)
 		}
 	}
 }

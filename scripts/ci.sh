@@ -120,6 +120,11 @@ grep -q 'fork key mismatch' "$tmp/platform.err"
 grep -q '"schema": "relief-estimate/1"' "$tmp/estimate.json"
 grep -q '"sampled": true' "$tmp/estimate.json"
 
+echo "== relief-validate"
+# The paper's calibration and behaviour checks, plus checkpoint restore and
+# interval sampling driven through a binary; exits 1 on any FAIL.
+go run ./cmd/relief-validate
+
 echo "== serve smoke"
 # End-to-end over a real socket: start on an ephemeral port, POST the
 # same scenario twice (second spelled in a different field order — the
