@@ -96,7 +96,7 @@ func TestSampledFallsBackWhenUnsteady(t *testing.T) {
 		t.Fatal(err)
 	}
 	if est.Sampled {
-		t.Skip("profile workload reached steady state; fallback path not exercised here")
+		t.Fatal("abort-heavy profile workload was sampled; the full-run fallback was not exercised")
 	}
 	full, err := Run(sc)
 	if err != nil {

@@ -87,11 +87,7 @@ func (a *Average) Predict() float64 {
 // Observe implements BWPredictor.
 func (a *Average) Observe(bw float64) {
 	if a.ring == nil {
-		n := a.N
-		if n <= 0 {
-			n = 15
-		}
-		a.ring = make([]float64, n)
+		a.ring = make([]float64, a.window())
 	}
 	a.ring[a.next] = bw
 	a.next++
@@ -99,6 +95,14 @@ func (a *Average) Observe(bw float64) {
 		a.next = 0
 		a.full = true
 	}
+}
+
+// window is the ring length: N, or the paper's 15 when N is unset.
+func (a *Average) window() int {
+	if a.N <= 0 {
+		return 15
+	}
+	return a.N
 }
 
 // EWMA predicts an exponentially weighted moving average:

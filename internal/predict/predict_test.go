@@ -62,6 +62,50 @@ func TestAverageDefaultWindow(t *testing.T) {
 	}
 }
 
+// TestRestoreBWRejectsBadAverage: a restored Average state must be one
+// Observe and Predict can index. Each rejected input used to restore
+// without error; the first then panicked in Observe ("index out of range
+// [7] with length 3").
+func TestRestoreBWRejectsBadAverage(t *testing.T) {
+	window := func(n int) []float64 { return make([]float64, n) }
+	cases := []struct {
+		name  string
+		n     int
+		state BWState
+	}{
+		{"cursor past short ring", 15, BWState{Kind: "Average", Vals: []float64{1, 2, 3}, Next: 7}},
+		{"ring shorter than window", 15, BWState{Kind: "Average", Vals: []float64{1, 2, 3}}},
+		{"ring longer than window", 4, BWState{Kind: "Average", Vals: window(15)}},
+		{"ring not default window", 0, BWState{Kind: "Average", Vals: window(4)}},
+		{"cursor at ring end", 15, BWState{Kind: "Average", Vals: window(15), Next: 15}},
+		{"negative cursor", 15, BWState{Kind: "Average", Vals: window(15), Next: -1}},
+		{"full without samples", 15, BWState{Kind: "Average", Full: true}},
+		{"cursor without samples", 15, BWState{Kind: "Average", Next: 3}},
+	}
+	for _, tc := range cases {
+		p := &Average{Peak: gb, N: tc.n}
+		if err := RestoreBW(p, tc.state); err == nil {
+			t.Errorf("%s: restored without error", tc.name)
+		}
+	}
+
+	// Captured states, empty or mid-ring, still restore and keep observing.
+	for _, observed := range []int{0, 4, 20} {
+		src := &Average{Peak: gb, N: 15}
+		for i := 0; i < observed; i++ {
+			src.Observe(float64(i) * gb)
+		}
+		dst := &Average{Peak: gb, N: 15}
+		if err := RestoreBW(dst, CaptureBW(src)); err != nil {
+			t.Fatalf("%d observations: %v", observed, err)
+		}
+		if dst.Predict() != src.Predict() {
+			t.Errorf("%d observations: restored prediction %v, want %v", observed, dst.Predict(), src.Predict())
+		}
+		dst.Observe(gb)
+	}
+}
+
 func TestEWMAPredictor(t *testing.T) {
 	p := &EWMA{Peak: 6.4 * gb, Alpha: 0.25}
 	if p.Predict() != 6.4*gb {

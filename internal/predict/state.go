@@ -50,6 +50,9 @@ func RestoreBW(p BWPredictor, s BWState) error {
 			v.last = s.Vals[0]
 		}
 	case *Average:
+		if err := checkAverageState(v, s); err != nil {
+			return err
+		}
 		v.ring = append([]float64(nil), s.Vals...)
 		v.next = s.Next
 		v.full = s.Full
@@ -60,6 +63,26 @@ func RestoreBW(p BWPredictor, s BWState) error {
 		v.init = s.Init
 	default:
 		return fmt.Errorf("predict: cannot restore predictor %T", p)
+	}
+	return nil
+}
+
+// checkAverageState rejects an Average state that Observe or Predict
+// could not index: a ring whose length differs from the predictor's
+// window, a write cursor outside the ring, or a cursor or full flag with
+// no ring at all (a predictor that has not observed yet).
+func checkAverageState(a *Average, s BWState) error {
+	if len(s.Vals) == 0 {
+		if s.Next != 0 || s.Full {
+			return fmt.Errorf("predict: Average state has no samples but next=%d full=%v", s.Next, s.Full)
+		}
+		return nil
+	}
+	if n := a.window(); len(s.Vals) != n {
+		return fmt.Errorf("predict: Average state has %d samples, window is %d", len(s.Vals), n)
+	}
+	if s.Next < 0 || s.Next >= len(s.Vals) {
+		return fmt.Errorf("predict: Average state cursor %d outside [0, %d)", s.Next, len(s.Vals))
 	}
 	return nil
 }

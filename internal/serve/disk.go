@@ -105,18 +105,7 @@ func (d *diskCache) store(key string, res *Result) {
 	if !validSpillKey(key) {
 		return
 	}
-	payload, err := json.Marshal(res)
-	if err != nil {
-		d.spillErrors.Add(1)
-		return
-	}
-	sum := sha256.Sum256(payload)
-	env, err := json.Marshal(spillEnvelope{
-		Schema:  SpillSchema,
-		Digest:  key,
-		Sum:     hex.EncodeToString(sum[:]),
-		Payload: payload,
-	})
+	env, err := encodeSpill(key, res)
 	if err != nil {
 		d.spillErrors.Add(1)
 		return
@@ -198,6 +187,21 @@ func (d *diskCache) load(key string) (*Result, bool) {
 	now := time.Now()
 	os.Chtimes(d.path(key), now, now)
 	return res, true
+}
+
+// encodeSpill wraps one result in its checksummed spill envelope.
+func encodeSpill(key string, res *Result) ([]byte, error) {
+	payload, err := json.Marshal(res)
+	if err != nil {
+		return nil, err
+	}
+	sum := sha256.Sum256(payload)
+	return json.Marshal(spillEnvelope{
+		Schema:  SpillSchema,
+		Digest:  key,
+		Sum:     hex.EncodeToString(sum[:]),
+		Payload: payload,
+	})
 }
 
 // decodeSpill verifies and unwraps one spill file's bytes.

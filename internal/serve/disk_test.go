@@ -3,13 +3,16 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // newDiskServer builds a server with a counting stub runner and a spill
@@ -215,4 +218,126 @@ func TestEvictionRemovesSpillFile(t *testing.T) {
 	if got := s.disk.entries(); got != 2 {
 		t.Errorf("spill entries = %d, want 2", got)
 	}
+}
+
+// TestPruneEqualModTimeDeterministic pins the prune tie-break: spill files
+// with identical modification times are ordered by name (digest), so which
+// entries survive an over-cap prune is a function of the directory's
+// contents alone, not ReadDir enumeration order or timestamp granularity
+// (coarse filesystem clocks routinely stamp a burst of spills identically).
+func TestPruneEqualModTimeDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	// Open unbounded so all five spills land on disk, then lower the cap:
+	// store() prunes eagerly, which would otherwise evict under the fresh
+	// write timestamps instead of the equal ones this test pins.
+	d, _, err := openDiskCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for i := 0; i < 5; i++ {
+		key := fmt.Sprintf("%064x", i)
+		keys = append(keys, key)
+		d.store(key, &Result{Digest: key, Text: "x"})
+	}
+	stamp := time.Now().Add(-time.Hour)
+	for _, k := range keys {
+		if err := os.Chtimes(filepath.Join(dir, k+spillExt), stamp, stamp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.mu.Lock()
+	d.cap = 2
+	kept, err := d.pruneLocked()
+	d.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept != 2 {
+		t.Fatalf("pruneLocked kept %d, want cap 2", kept)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var survived []string
+	for _, e := range entries {
+		survived = append(survived, stripExt(e.Name()))
+	}
+	sort.Strings(survived)
+	// Equal mtimes tie-break by ascending name, so the lexicographically
+	// smallest digests survive — every process over this directory prunes
+	// to the same survivors.
+	want := []string{keys[0], keys[1]}
+	if len(survived) != 2 || survived[0] != want[0] || survived[1] != want[1] {
+		t.Errorf("survivors %v, want %v", survived, want)
+	}
+}
+
+// FuzzDecodeSpill: spill files are bytes from outside the process, so the
+// decoder must never panic, and anything it accepts must be a well-formed
+// envelope for the requested key whose result survives a re-encode.
+// Seeds: a real spill written by diskCache.store, a truncated copy, and a
+// copy with one byte of the checksum flipped.
+func FuzzDecodeSpill(f *testing.F) {
+	req := Request{Mix: "C", Metrics: true}
+	if err := req.Normalize(); err != nil {
+		f.Fatal(err)
+	}
+	key := req.Digest()
+	res, err := runSimulation(context.Background(), req)
+	if err != nil {
+		f.Fatal(err)
+	}
+	res.Digest = key
+	d, _, err := openDiskCache(f.TempDir(), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	d.store(key, res)
+	spill, err := os.ReadFile(d.path(key))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, ok := decodeSpill(key, spill); !ok {
+		f.Fatal("decodeSpill rejects the spill store wrote")
+	}
+	flipped := append([]byte(nil), spill...)
+	i := strings.Index(string(flipped), `"sum":"`)
+	if i < 0 {
+		f.Fatal("no sum field in spill")
+	}
+	flipped[i+len(`"sum":"`)] ^= 1
+	f.Add(key, spill)
+	f.Add(key, spill[:len(spill)/2])
+	f.Add(key, flipped)
+
+	f.Fuzz(func(t *testing.T, key string, b []byte) {
+		got, ok := decodeSpill(key, b)
+		if !ok {
+			return
+		}
+		var env spillEnvelope
+		if err := json.Unmarshal(b, &env); err != nil {
+			t.Fatalf("accepted spill does not decode as an envelope: %v", err)
+		}
+		if env.Schema != SpillSchema || env.Digest != key {
+			t.Fatalf("accepted envelope schema %q digest %q for key %q", env.Schema, env.Digest, key)
+		}
+		want, err := json.Marshal(got)
+		if err != nil {
+			t.Fatalf("re-encode accepted result: %v", err)
+		}
+		again, err := encodeSpill(key, got)
+		if err != nil {
+			t.Fatalf("re-seal accepted result: %v", err)
+		}
+		back, ok := decodeSpill(key, again)
+		if !ok {
+			t.Fatalf("re-sealed spill rejected: %s", again)
+		}
+		if have, err := json.Marshal(back); err != nil || string(have) != string(want) {
+			t.Fatalf("round trip changed the result:\nhave %s\nwant %s (err %v)", have, want, err)
+		}
+	})
 }

@@ -51,8 +51,7 @@ type Request struct {
 	// PeriodMS selects periodic release (relief-sim's -period): a fresh
 	// instance of each mix application every period until HorizonMS
 	// (0 = the 50 ms default). Periodic requests take precedence over
-	// Continuous and are the only ones the sweep checkpoint pool can fork
-	// from a shared warmed snapshot (docs/CHECKPOINT.md).
+	// Continuous.
 	PeriodMS  float64 `json:"period_ms,omitempty"`
 	HorizonMS float64 `json:"horizon_ms,omitempty"`
 	// Metrics attaches a telemetry registry and returns its

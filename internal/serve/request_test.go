@@ -200,6 +200,47 @@ func TestNormalizeRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestRequestPeriodicNormalize pins the periodic request knobs: negatives
+// rejected, horizon meaningless (and zeroed) without a period, and the
+// period/horizon pair reaching the scenario and its digest.
+func TestRequestPeriodicNormalize(t *testing.T) {
+	bad := Request{Mix: "C", PeriodMS: -1}
+	if err := bad.Normalize(); err == nil {
+		t.Error("negative period accepted")
+	}
+	bad = Request{Mix: "C", PeriodMS: 5, HorizonMS: -1}
+	if err := bad.Normalize(); err == nil {
+		t.Error("negative horizon accepted")
+	}
+
+	orphan := Request{Mix: "C", HorizonMS: 20}
+	if err := orphan.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	plain := Request{Mix: "C"}
+	if err := plain.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if orphan.Digest() != plain.Digest() {
+		t.Error("horizon without period should normalize away (digest mismatch)")
+	}
+
+	periodic := Request{Mix: "C", PeriodMS: 5, HorizonMS: 20}
+	if err := periodic.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if periodic.Digest() == plain.Digest() {
+		t.Error("periodic request digests identically to the aperiodic one")
+	}
+	sc, err := periodic.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Period != msToTime(5) || sc.Horizon != msToTime(20) {
+		t.Errorf("scenario period/horizon = %v/%v", sc.Period, sc.Horizon)
+	}
+}
+
 // FuzzRequest drives arbitrary /run bodies through the handler's decode,
 // Normalize, and Digest. Normalize must be idempotent, and the normalized
 // request must survive the JSON round trip a forward to the digest's owner

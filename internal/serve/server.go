@@ -16,7 +16,6 @@ import (
 
 	"relief/internal/exp"
 	"relief/internal/metrics"
-	"relief/internal/sim"
 	"relief/internal/svctrace"
 	"relief/internal/trace"
 )
@@ -130,11 +129,6 @@ type flight struct {
 	startAt   time.Time
 	runDur    time.Duration
 	rec       *trace.Recorder
-
-	// ckpts is the sweep checkpoint pool the creating request ran under
-	// (nil for interactive /run requests): periodic cells fork from the
-	// pool's shared warmed snapshot instead of re-warming (ckpt.go).
-	ckpts *ckptPool
 }
 
 // Server is the simulation service. Create with New, expose via Handler
@@ -356,9 +350,6 @@ func (s *Server) worker() {
 		if fl.rec != nil {
 			ctx = withRecorder(ctx, fl.rec)
 		}
-		if fl.ckpts != nil {
-			ctx = withCkptPool(ctx, fl.ckpts)
-		}
 		res, err := s.runner(ctx, fl.request)
 		fl.runDur = time.Since(start)
 		s.svc.observeStage(stageRun, fl.runDur)
@@ -530,7 +521,6 @@ func (s *Server) submit(ctx context.Context, req Request, key string, block bool
 		key: key, request: req, ctx: fctx, cancel: cancel,
 		done: make(chan struct{}), waiters: 1,
 		enqueueAt: time.Now(),
-		ckpts:     ckptPoolFrom(ctx),
 	}
 	if req.Trace {
 		// Capture the kernel's simulated-time events for the combined
@@ -778,7 +768,7 @@ func runSimulation(ctx context.Context, req Request) (*Result, error) {
 	// (nil-safe recorder, no extra kernel events), so digests stay
 	// bit-identical.
 	sc.Trace = recorderFrom(ctx)
-	res, err := runScenario(ctx, sc)
+	res, err := exp.RunContext(ctx, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -800,29 +790,4 @@ func runSimulation(ctx context.Context, req Request) (*Result, error) {
 		out.Metrics = json.RawMessage(bytes.TrimSpace(mb.Bytes()))
 	}
 	return out, nil
-}
-
-// runScenario executes one scenario, forking from the sweep's shared warmed
-// checkpoint when a pool is attached (sweep cells only) and the scenario is
-// forkable: periodic, unobserved (a forked run's metrics/trace would only
-// cover the post-restore tail, breaking the content-address contract that
-// identical digests yield identical documents), and with a horizon beyond
-// the capture instant. A restored run is byte-identical to a cold one, so
-// which path served a cell is unobservable in the result. Any warm or
-// restore failure degrades to the cold path.
-func runScenario(ctx context.Context, sc exp.Scenario) (*exp.Result, error) {
-	pool := ckptPoolFrom(ctx)
-	if pool != nil && sc.Period > 0 && sc.Metrics == nil && sc.Trace == nil {
-		env, err := pool.envelope(ctx, sc)
-		if err == nil && sim.Time(env.CapturedPs) < sc.EffectiveHorizon() {
-			res, err := exp.RunFromCheckpoint(ctx, sc, env)
-			if err == nil {
-				return res, nil
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return exp.RunContext(ctx, sc)
 }

@@ -176,6 +176,41 @@ func TestQueueBackpressure(t *testing.T) {
 	<-done
 }
 
+// TestRetryAfterDerived pins the backpressure hint derivation (replacing the
+// old hardcoded "1"/"5"): queue depth times the p50 service latency, clamped
+// to [1, 30] seconds, with a 1-second floor on a cold server.
+func TestRetryAfterDerived(t *testing.T) {
+	m := newServiceMetrics(func() int { return 0 })
+
+	if got := m.retryAfterSeconds(); got != 1 {
+		t.Errorf("cold server (empty histogram): %d, want the 1s floor", got)
+	}
+
+	// 2-second median service latency, five queued requests → 10 seconds.
+	for i := 0; i < 100; i++ {
+		m.observeLatency(2 * time.Second)
+	}
+	m.queueDepth.Store(5)
+	got := m.retryAfterSeconds()
+	// The histogram is log-bucketed, so the p50 is the 2000 ms bucket's
+	// representative value, not exactly 2000; accept the derived range.
+	if got < 5 || got > 15 {
+		t.Errorf("5 queued x ~2s p50: %d, want roughly 10 (in [5,15])", got)
+	}
+
+	// A deep backlog clamps to the 30-second ceiling.
+	m.queueDepth.Store(1000)
+	if got := m.retryAfterSeconds(); got != 30 {
+		t.Errorf("deep backlog: %d, want the 30s ceiling", got)
+	}
+
+	// Zero depth with a warm histogram still answers the floor.
+	m.queueDepth.Store(0)
+	if got := m.retryAfterSeconds(); got != 1 {
+		t.Errorf("idle server: %d, want the 1s floor", got)
+	}
+}
+
 // TestRequestTimeout: a request whose simulation exceeds its budget gets
 // 504 and the cache stays clean.
 func TestRequestTimeout(t *testing.T) {

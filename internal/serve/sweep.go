@@ -43,10 +43,8 @@ type SweepSpec struct {
 	// BW is the bandwidth-predictor axis (default [max]).
 	BW []string `json:"bw,omitempty"`
 	// HorizonsMS is the periodic-horizon axis in milliseconds (default the
-	// 50 ms horizon; requires PeriodMS). Horizons are excluded from the
-	// checkpoint fork key, so the whole axis forks from one warmed snapshot
-	// per (mix × policy × topology × bw) point instead of re-warming per
-	// cell (docs/CHECKPOINT.md).
+	// 50 ms horizon; requires PeriodMS). Each horizon is its own cell, run
+	// cold like a /run of the same request (docs/CHECKPOINT.md).
 	HorizonsMS []float64 `json:"horizons_ms,omitempty"`
 
 	// Scalar knobs, applied to every cell (see the /run request fields).
@@ -256,13 +254,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	// Every cell records its spans (cache/disk/probe/forward/admission/run,
 	// digest-attributed) into the sweep's one trace, so a slow sweep can be
-	// decomposed cell by cell from GET /trace/{id}. Periodic cells also share
-	// this sweep's checkpoint pool: scalar-knob variations of one warmed
-	// simulation fork from a single snapshot instead of re-warming (ckpt.go).
+	// decomposed cell by cell from GET /trace/{id}.
 	ctx := withTrace(r.Context(), tr)
-	if spec.PeriodMS > 0 {
-		ctx = withCkptPool(ctx, newCkptPool())
-	}
 	outCh := make(chan outcome)
 	sem := make(chan struct{}, parallel)
 	go func() {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -225,6 +226,63 @@ func TestSweepMergedMatchesExpSweep(t *testing.T) {
 	}
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("merged sweep diverges from exp.Sweep.DumpJSON:\n--- serve ---\n%s\n--- exp ---\n%s", got, want.Bytes())
+	}
+}
+
+// TestSweepPeriodicHorizons drives the full POST /sweep path with a horizon
+// axis: the merged document must carry one cell per horizon, and each cell's
+// summary must be byte-identical to an interactive /run of the same request
+// on a separate server.
+func TestSweepPeriodicHorizons(t *testing.T) {
+	s := New(Config{Workers: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/sweep", "application/json",
+		strings.NewReader(`{"mixes":["CG"],"period_ms":5,"horizons_ms":[15,20]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep: status=%d body=%s", resp.StatusCode, body)
+	}
+	var cells []exp.Cell
+	if err := json.Unmarshal(body, &cells); err != nil {
+		t.Fatalf("merged sweep document: %v", err)
+	}
+	if len(cells) != 2 {
+		t.Fatalf("sweep produced %d cells, want 2 (one per horizon)", len(cells))
+	}
+
+	// Reference: a separate server that never saw the sweep answers /run.
+	cold := New(Config{Workers: 2})
+	tsCold := httptest.NewServer(cold.Handler())
+	defer tsCold.Close()
+	for _, horizon := range []int{15, 20} {
+		reqBody := fmt.Sprintf(`{"mix":"CG","period_ms":5,"horizon_ms":%d}`, horizon)
+		resp, b := post(t, tsCold.URL, reqBody)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cold run: status=%d body=%s", resp.StatusCode, b)
+		}
+		_, coldRes := decodeEnvelope(t, b)
+
+		resp, b = post(t, ts.URL, reqBody)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep-server run: status=%d body=%s", resp.StatusCode, b)
+		}
+		src, sweepRes := decodeEnvelope(t, b)
+		if src != srcCache {
+			t.Errorf("horizon %d: post-sweep /run source %q, want cache (sweep populated it)", horizon, src)
+		}
+		if sweepRes.Text != coldRes.Text {
+			t.Errorf("horizon %d: sweep cell text diverged from /run:\nsweep:\n%s\nrun:\n%s",
+				horizon, sweepRes.Text, coldRes.Text)
+		}
 	}
 }
 

@@ -17,6 +17,10 @@ go build ./...
 echo "== vet"
 go vet ./...
 
+echo "== gofmt"
+# Tracked files only, so build output such as .bench_build/ is never scanned.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
+
 echo "== relief-lint"
 go run ./cmd/relief-lint ./...
 
