@@ -57,10 +57,37 @@ func (c *Controller) CaptureState() (ControllerState, error) {
 }
 
 // RestoreState primes a freshly constructed controller (same geometry) with
-// captured state.
+// captured state. It rejects counters and times a run can never produce
+// (negative values, an open row below the closed marker -1) before touching
+// the controller, so a crafted checkpoint errors instead of indexing out of
+// range on the first request.
 func (c *Controller) RestoreState(s ControllerState) error {
 	if len(s.Channels) != len(c.channels) {
 		return fmt.Errorf("dram: restore channel count %d, checkpoint has %d", len(c.channels), len(s.Channels))
+	}
+	for _, f := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"cursor", s.Cursor}, {"bytes", s.Bytes}, {"row hits", s.RowHits},
+		{"row misses", s.RowMisses}, {"refreshes", s.Refreshes},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("dram: restore negative %s %d", f.name, f.v)
+		}
+	}
+	for i, cs := range s.Channels {
+		if len(cs.Banks) != len(c.channels[i].banks) {
+			return fmt.Errorf("dram: restore bank count %d, checkpoint has %d", len(c.channels[i].banks), len(cs.Banks))
+		}
+		if cs.BusyAcc < 0 || cs.NextRefresh < 0 {
+			return fmt.Errorf("dram: restore channel %d negative busy time %d or next refresh %d", i, cs.BusyAcc, cs.NextRefresh)
+		}
+		for j, b := range cs.Banks {
+			if b.OpenRow < -1 {
+				return fmt.Errorf("dram: restore channel %d bank %d open row %d below -1", i, j, b.OpenRow)
+			}
+		}
 	}
 	c.cursor = s.Cursor
 	c.bytes = s.Bytes
@@ -69,9 +96,6 @@ func (c *Controller) RestoreState(s ControllerState) error {
 	c.Refreshes = s.Refreshes
 	for i, cs := range s.Channels {
 		ch := c.channels[i]
-		if len(cs.Banks) != len(ch.banks) {
-			return fmt.Errorf("dram: restore bank count %d, checkpoint has %d", len(ch.banks), len(cs.Banks))
-		}
 		ch.busyAcc = cs.BusyAcc
 		ch.nextRefresh = cs.NextRefresh
 		for j, b := range cs.Banks {

@@ -41,16 +41,29 @@ type Estimate struct {
 	// Sampled is false when the sampler fell back to a full run (the
 	// workload never quiesced or never reached steady state): the values
 	// are then exact and the bounds zero.
-	Sampled   bool  `json:"sampled"`
-	Windows   int   `json:"windows"`
-	WindowPs  int64 `json:"window_ps"`
-	WarmPs    int64 `json:"warm_ps"`
-	HorizonPs int64 `json:"horizon_ps"`
+	Sampled bool `json:"sampled"`
+	// Fallback names why a full run replaced sampling: FallbackNeverSteady
+	// or FallbackSteadyTooLate. It is empty when Sampled is true.
+	Fallback  string `json:"fallback,omitempty"`
+	Windows   int    `json:"windows"`
+	WindowPs  int64  `json:"window_ps"`
+	WarmPs    int64  `json:"warm_ps"`
+	HorizonPs int64  `json:"horizon_ps"`
 
 	NodesDone        EstStat `json:"nodes_done"`
 	NodesMetDeadline EstStat `json:"nodes_met_deadline"`
 	DRAMBytes        EstStat `json:"dram_bytes"`
 }
+
+// Reasons the sampler fell back to a full run (Estimate.Fallback).
+const (
+	// FallbackNeverSteady: the warm run never reached a steady state it
+	// could checkpoint at a quiescent release.
+	FallbackNeverSteady = "never_steady"
+	// FallbackSteadyTooLate: steady state arrived with fewer than two
+	// windows left before the horizon.
+	FallbackSteadyTooLate = "steady_too_late"
+)
 
 // steadyRuns is how many consecutive positive per-period completion deltas
 // the detector examines, and steadySpread the relative spread it tolerates
@@ -158,7 +171,7 @@ func RunSampled(ctx context.Context, sc Scenario, windows int) (*Estimate, error
 		if ctx.Err() != nil {
 			return nil, err
 		}
-		return fullRunEstimate(ctx, sc, est)
+		return fullRunEstimate(ctx, sc, est, FallbackNeverSteady)
 	}
 	env, err := ckpt.Open(envData)
 	if err != nil {
@@ -172,7 +185,7 @@ func RunSampled(ctx context.Context, sc Scenario, windows int) (*Estimate, error
 	if windows < 2 {
 		// Steady state arrived too close to the horizon to leave sampling
 		// windows; the full run is cheaper than it looked.
-		return fullRunEstimate(ctx, sc, est)
+		return fullRunEstimate(ctx, sc, est, FallbackSteadyTooLate)
 	}
 
 	cfg, err := sc.managerConfig()
@@ -213,8 +226,8 @@ func RunSampled(ctx context.Context, sc Scenario, windows int) (*Estimate, error
 }
 
 // fullRunEstimate is the sampling fallback: an ordinary full run reported in
-// estimate form with exact values.
-func fullRunEstimate(ctx context.Context, sc Scenario, est *Estimate) (*Estimate, error) {
+// estimate form with exact values and the reason it was needed.
+func fullRunEstimate(ctx context.Context, sc Scenario, est *Estimate, reason string) (*Estimate, error) {
 	full := sc
 	full.Metrics = nil
 	r, err := RunContext(ctx, full)
@@ -223,6 +236,7 @@ func fullRunEstimate(ctx context.Context, sc Scenario, est *Estimate) (*Estimate
 	}
 	s := snapStats(r.Stats)
 	est.Sampled = false
+	est.Fallback = reason
 	est.Windows = 0
 	est.NodesDone = EstStat{Estimate: s.nodes}
 	est.NodesMetDeadline = EstStat{Estimate: s.met}

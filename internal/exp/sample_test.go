@@ -98,6 +98,9 @@ func TestSampledFallsBackWhenUnsteady(t *testing.T) {
 	if est.Sampled {
 		t.Fatal("abort-heavy profile workload was sampled; the full-run fallback was not exercised")
 	}
+	if est.Fallback != FallbackNeverSteady {
+		t.Errorf("fallback = %q, want %q", est.Fallback, FallbackNeverSteady)
+	}
 	full, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +111,40 @@ func TestSampledFallsBackWhenUnsteady(t *testing.T) {
 	if est.NodesDone.ErrorBound != 0 || est.Windows != 0 {
 		t.Errorf("fallback should report zero bound and zero windows, got bound=%v windows=%d",
 			est.NodesDone.ErrorBound, est.Windows)
+	}
+}
+
+// TestSampledFallsBackWhenSteadyTooLate: a deterministic workload that
+// settles, but whose horizon ends within two periods of the steady
+// capture, has no room for two windows and falls back to a full run for
+// that reason.
+func TestSampledFallsBackWhenSteadyTooLate(t *testing.T) {
+	sc := sampledScenario(t, 100*sim.Millisecond)
+	long, err := RunSampled(context.Background(), sc, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !long.Sampled || long.Fallback != "" {
+		t.Fatalf("long horizon: sampled=%v fallback=%q, want sampled with no fallback", long.Sampled, long.Fallback)
+	}
+	sc.Horizon = sim.Time(long.WarmPs) + sc.Period + sc.Period/2
+	est, err := RunSampled(context.Background(), sc, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Sampled || est.Fallback != FallbackSteadyTooLate {
+		t.Fatalf("horizon 1.5 periods past steady state: sampled=%v fallback=%q, want a %q fallback",
+			est.Sampled, est.Fallback, FallbackSteadyTooLate)
+	}
+	if est.WarmPs != long.WarmPs {
+		t.Errorf("steady capture at %d ps, want %d ps as with the long horizon", est.WarmPs, long.WarmPs)
+	}
+	full, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := est.NodesDone.Estimate, float64(full.Stats.NodesDone); got != want {
+		t.Errorf("fallback nodes_done %.0f, want exact %.0f", got, want)
 	}
 }
 

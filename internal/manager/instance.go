@@ -36,8 +36,10 @@ type Instance struct {
 	// idle), tracked so instance death can strand it for the watchdog.
 	curNode *graph.Node
 
-	dmaQueue []dmaJob
+	dmaQueue []*dmaJob // queued jobs, dmaQueue[dmaHead:] live
+	dmaHead  int
 	dmaBusy  bool
+	dmaFree  *dmaJob // recycled job records
 }
 
 // OutBuf is one output scratchpad partition.
@@ -51,13 +53,37 @@ type OutBuf struct {
 	drainWaiters []func()
 }
 
+// dmaKind selects what a finished DMA job does.
+type dmaKind uint8
+
+const (
+	dmaForward   dmaKind = iota // consumer reads a producer's scratchpad
+	dmaDRAMRead                 // consumer reads main memory
+	dmaWriteback                // producer output copied to main memory
+)
+
+// dmaJob is one transfer on an instance's DMA engine. Jobs are recycled
+// per instance: the record carries everything its completion needs, and
+// the completion callback is bound once per record, so programming a DMA
+// builds no closure.
 type dmaJob struct {
-	path  []mem.Server
-	bytes int64
-	// dram marks a main-memory transfer (eligible for injected DRAM error
-	// stalls when the fixed-bandwidth memory model is in use).
-	dram bool
-	done func(mem.TransferResult)
+	inst    *Instance
+	kind    dmaKind
+	path    []mem.Server
+	bytes   int64
+	attempt int // corruption-triggered re-runs so far
+
+	n    *graph.Node // consumer (forward, DRAM read) or producer (write-back)
+	ns   *nodeState  // m.state(n)
+	part int         // input gates: the consumer's output partition
+	att  int         // input gates: the consumer's launch attempt
+	p    *graph.Node // forward: the producer
+	pbuf *OutBuf     // forward: the producer partition being read
+	// finish marks a write-back whose node is finalised once written.
+	finish bool
+
+	doneFn   func(mem.TransferResult) // bound j.done
+	freeNext *dmaJob
 }
 
 func newInstance(m *Manager, index int, kind accel.Kind, partitions int) *Instance {
@@ -73,10 +99,24 @@ func (inst *Instance) Lane() string {
 	return fmt.Sprintf("%s#%d", inst.Kind, inst.Index)
 }
 
-// enqueueDMA serialises a transfer on the instance's single DMA engine.
-// dram marks main-memory transfers for DRAM-error injection.
-func (inst *Instance) enqueueDMA(path []mem.Server, bytes int64, dram bool, done func(mem.TransferResult)) {
-	inst.dmaQueue = append(inst.dmaQueue, dmaJob{path: path, bytes: bytes, dram: dram, done: done})
+// newDMA returns a job record of the given kind for a transfer of
+// bytes over path, recycled from the instance's free list when possible.
+func (inst *Instance) newDMA(kind dmaKind, path []mem.Server, bytes int64, n *graph.Node, ns *nodeState) *dmaJob {
+	j := inst.dmaFree
+	if j == nil {
+		j = &dmaJob{inst: inst}
+		j.doneFn = j.done
+	} else {
+		inst.dmaFree = j.freeNext
+		j.freeNext = nil
+	}
+	j.kind, j.path, j.bytes, j.n, j.ns = kind, path, bytes, n, ns
+	return j
+}
+
+// enqueueDMA serialises a job on the instance's single DMA engine.
+func (inst *Instance) enqueueDMA(j *dmaJob) {
+	inst.dmaQueue = append(inst.dmaQueue, j)
 	if !inst.dmaBusy {
 		inst.dmaBusy = true
 		inst.nextDMA()
@@ -87,44 +127,73 @@ func (inst *Instance) enqueueDMA(path []mem.Server, bytes int64, dram bool, done
 // pathological corruption rate cannot loop forever.
 const maxDMARetries = 8
 
+// nextDMA starts the queue head, or idles the engine. The queue compacts
+// lazily, like Resource's FIFO.
 func (inst *Instance) nextDMA() {
-	if len(inst.dmaQueue) == 0 {
+	if inst.dmaHead == len(inst.dmaQueue) {
+		inst.dmaQueue = inst.dmaQueue[:0]
+		inst.dmaHead = 0
 		inst.dmaBusy = false
 		return
 	}
-	job := inst.dmaQueue[0]
-	inst.dmaQueue = inst.dmaQueue[1:]
-	inst.startDMA(job, 0)
+	j := inst.dmaQueue[inst.dmaHead]
+	inst.dmaQueue[inst.dmaHead] = nil
+	inst.dmaHead++
+	if inst.dmaHead > 64 && inst.dmaHead*2 > len(inst.dmaQueue) {
+		n := copy(inst.dmaQueue, inst.dmaQueue[inst.dmaHead:])
+		clear(inst.dmaQueue[n:])
+		inst.dmaQueue = inst.dmaQueue[:n]
+		inst.dmaHead = 0
+	}
+	inst.startDMA(j)
 }
 
-// startDMA runs one DMA job, re-running it on injected CRC failures (the
-// engine detects the corruption at transfer end and retries, charging the
-// repeat traffic to recovery stats).
-func (inst *Instance) startDMA(job dmaJob, attempt int) {
+// startDMA runs one attempt of a DMA job. Main-memory jobs are eligible
+// for injected DRAM error stalls when the fixed-bandwidth memory model is
+// in use.
+func (inst *Instance) startDMA(j *dmaJob) {
 	m := inst.m
 	var fi mem.FaultInjector
 	setup := m.cfg.DMASetup
 	if m.inj != nil {
 		fi = m.inj
-		if job.dram && m.dram == nil {
+		if j.kind != dmaForward && m.dram == nil {
 			// Fixed-bandwidth memory model: charge injected DRAM error
 			// bursts as front-end stall (the detailed controller injects
 			// them itself via SetFault).
-			setup += m.inj.DRAM(job.bytes)
+			setup += m.inj.DRAM(j.bytes)
 		}
 	}
-	mem.StartTransferFI(m.k, job.path, job.bytes, setup, fi, func(res mem.TransferResult) {
-		if res.Corrupt && attempt < maxDMARetries {
-			m.st.Faults.RetriedDMABytes += job.bytes
-			if m.cfg.Trace.Enabled() {
-				m.cfg.Trace.Instant(trace.Fault, "dma-crc", inst.Lane(), res.End, nil)
-			}
-			inst.startDMA(job, attempt+1)
-			return
+	mem.StartTransferFI(m.k, j.path, j.bytes, setup, fi, j.doneFn)
+}
+
+// done completes a DMA attempt. An injected CRC failure re-runs the job
+// (the engine detects the corruption at transfer end and retries, charging
+// the repeat traffic to recovery stats); otherwise the job's completion
+// runs, the record is recycled and the engine moves on.
+func (j *dmaJob) done(res mem.TransferResult) {
+	inst := j.inst
+	m := inst.m
+	if res.Corrupt && j.attempt < maxDMARetries {
+		m.st.Faults.RetriedDMABytes += j.bytes
+		if m.cfg.Trace.Enabled() {
+			m.cfg.Trace.Instant(trace.Fault, "dma-crc", inst.Lane(), res.End, nil)
 		}
-		job.done(res)
-		inst.nextDMA()
-	})
+		j.attempt++
+		inst.startDMA(j)
+		return
+	}
+	switch j.kind {
+	case dmaForward:
+		m.forwardDone(j, res)
+	case dmaDRAMRead:
+		m.dramReadDone(j, res)
+	case dmaWriteback:
+		m.writebackDone(j, res)
+	}
+	*j = dmaJob{inst: inst, doneFn: j.doneFn, freeNext: inst.dmaFree}
+	inst.dmaFree = j
+	inst.nextDMA()
 }
 
 // readDrained registers fn to run once no consumer is reading the
@@ -184,7 +253,7 @@ func (m *Manager) launch(n *graph.Node, inst *Instance) {
 			!old.IsLeaf() && os.fetched < len(old.Children) {
 			// Unconsumed intermediate result about to be overwritten:
 			// write it back to main memory first.
-			m.startWriteback(old, inst, func() {})
+			m.startWriteback(old, inst, false)
 		}
 		if os.wbInFlight {
 			ns.pendingInputs++
@@ -205,7 +274,7 @@ func (m *Manager) launch(n *graph.Node, inst *Instance) {
 	}
 	if n.ExtraInputBytes > 0 {
 		ns.pendingInputs++
-		m.dramRead(n, inst, part, n.ExtraInputBytes, att)
+		m.dramReadStarted(n, inst, part, n.ExtraInputBytes, att)
 	}
 
 	m.inputDone(n, inst, part, att) // release the sentinel
@@ -231,21 +300,9 @@ func (m *Manager) fetchEdge(n *graph.Node, inst *Instance, part int, p *graph.No
 		pbuf := ps.inst.Parts[ps.part]
 		pbuf.OngoingReads++
 		ns.pendingInputs++
-		path := m.ic.Path(ps.inst.Index, inst.Index)
-		inst.enqueueDMA(path, bytes, false, func(res mem.TransferResult) {
-			pbuf.endRead()
-			if m.cfg.Trace.Enabled() {
-				m.cfg.Trace.Span(trace.Forward, p.String()+"->"+n.String(), inst.Lane(), res.Start, res.End, nil)
-			}
-			m.st.SpadXferBytes += bytes
-			m.noteSpadBytes(2 * bytes) // producer read + consumer write
-			ns.actualMemTime += res.End - res.Start
-			ns.actualBytes += bytes
-			if m.met != nil {
-				m.noteDMAInput(ns, path, bytes, res)
-			}
-			m.inputDone(n, inst, part, att)
-		})
+		j := inst.newDMA(dmaForward, m.ic.Path(ps.inst.Index, inst.Index), bytes, n, ns)
+		j.part, j.att, j.p, j.pbuf = part, att, p, pbuf
+		inst.enqueueDMA(j)
 	default:
 		// The producer's result lives only in main memory. If its
 		// write-back is still in flight the read waits for it.
@@ -262,28 +319,44 @@ func (m *Manager) fetchEdge(n *graph.Node, inst *Instance, part int, p *graph.No
 	}
 }
 
-// dramRead issues a main-memory read that was already counted in
-// pendingInputs.
-func (m *Manager) dramRead(n *graph.Node, inst *Instance, part int, bytes int64, att int) {
-	m.dramReadStarted(n, inst, part, bytes, att)
+// forwardDone completes a scratchpad-to-scratchpad input transfer.
+func (m *Manager) forwardDone(j *dmaJob, res mem.TransferResult) {
+	j.pbuf.endRead()
+	if m.cfg.Trace.Enabled() {
+		m.cfg.Trace.Span(trace.Forward, j.p.String()+"->"+j.n.String(), j.inst.Lane(), res.Start, res.End, nil)
+	}
+	m.st.SpadXferBytes += j.bytes
+	m.noteSpadBytes(2 * j.bytes) // producer read + consumer write
+	j.ns.actualMemTime += res.End - res.Start
+	j.ns.actualBytes += j.bytes
+	if m.met != nil {
+		m.noteDMAInput(j.ns, j.path, j.bytes, res)
+	}
+	m.inputDone(j.n, j.inst, j.part, j.att)
 }
 
+// dramReadStarted issues a main-memory input read that was already counted
+// in pendingInputs.
 func (m *Manager) dramReadStarted(n *graph.Node, inst *Instance, part int, bytes int64, att int) {
-	ns := m.state(n)
-	path := m.ic.Path(xbar.EndpointDRAM, inst.Index)
-	inst.enqueueDMA(path, bytes, true, func(res mem.TransferResult) {
-		m.st.DRAMReadBytes += bytes
-		m.noteSpadBytes(bytes) // consumer scratchpad write
-		m.observeDRAMTransfer(res)
-		ns.actualMemTime += res.End - res.Start
-		ns.actualBytes += bytes
-		ns.dramBytes += bytes
-		ns.dramTime += res.End - res.Start
-		if m.met != nil {
-			m.noteDMAInput(ns, path, bytes, res)
-		}
-		m.inputDone(n, inst, part, att)
-	})
+	j := inst.newDMA(dmaDRAMRead, m.ic.Path(xbar.EndpointDRAM, inst.Index), bytes, n, m.state(n))
+	j.part, j.att = part, att
+	inst.enqueueDMA(j)
+}
+
+// dramReadDone completes a main-memory input read.
+func (m *Manager) dramReadDone(j *dmaJob, res mem.TransferResult) {
+	ns := j.ns
+	m.st.DRAMReadBytes += j.bytes
+	m.noteSpadBytes(j.bytes) // consumer scratchpad write
+	m.observeDRAMTransfer(res)
+	ns.actualMemTime += res.End - res.Start
+	ns.actualBytes += j.bytes
+	ns.dramBytes += j.bytes
+	ns.dramTime += res.End - res.Start
+	if m.met != nil {
+		m.noteDMAInput(ns, j.path, j.bytes, res)
+	}
+	m.inputDone(j.n, j.inst, j.part, j.att)
 }
 
 // inputDone decrements the launch gate; when it reaches zero the
@@ -444,9 +517,9 @@ func (m *Manager) complete(n *graph.Node, inst *Instance, part int, computeDur s
 		// in line for execution.
 		switch {
 		case n.IsLeaf():
-			m.startWriteback(n, inst, func() { m.finishNode(n) })
+			m.startWriteback(n, inst, true)
 		case m.cfg.AlwaysWriteBack || m.cfg.DisableForwarding || !m.allChildrenNextInLine(n):
-			m.startWriteback(n, inst, func() {})
+			m.startWriteback(n, inst, false)
 			m.finishNode(n)
 		default:
 			m.finishNode(n)
@@ -483,38 +556,49 @@ func (m *Manager) allChildrenNextInLine(n *graph.Node) bool {
 }
 
 // startWriteback DMA-copies a node's output from its scratchpad partition
-// to main memory.
-func (m *Manager) startWriteback(n *graph.Node, inst *Instance, done func()) {
+// to main memory. finish finalises the node once the output is written (at
+// once if it already was, or is being written by an earlier request).
+func (m *Manager) startWriteback(n *graph.Node, inst *Instance, finish bool) {
 	ns := m.state(n)
 	if ns.wbDone || ns.wbInFlight {
-		done()
+		if finish {
+			m.finishNode(n)
+		}
 		return
 	}
 	ns.wbInFlight = true
-	path := m.ic.Path(inst.Index, xbar.EndpointDRAM)
-	inst.enqueueDMA(path, n.OutputBytes, true, func(res mem.TransferResult) {
-		if m.cfg.Trace.Enabled() {
-			m.cfg.Trace.Span(trace.Writeback, n.String(), inst.Lane(), res.Start, res.End, nil)
-		}
-		ns.wbInFlight = false
-		ns.wbDone = true
-		m.st.DRAMWriteBytes += n.OutputBytes
-		m.noteSpadBytes(n.OutputBytes) // producer scratchpad read
-		m.observeDRAMTransfer(res)
-		ns.actualMemTime += res.End - res.Start
-		ns.actualBytes += n.OutputBytes
-		ns.dramBytes += n.OutputBytes
-		ns.dramTime += res.End - res.Start
-		if m.met != nil {
-			m.noteDMAXfer(path, n.OutputBytes, res)
-		}
-		ws := ns.wbWaiters
-		ns.wbWaiters = nil
-		for _, fn := range ws {
-			fn()
-		}
-		done()
-	})
+	j := inst.newDMA(dmaWriteback, m.ic.Path(inst.Index, xbar.EndpointDRAM), n.OutputBytes, n, ns)
+	j.finish = finish
+	inst.enqueueDMA(j)
+}
+
+// writebackDone completes a write-back: wake readers waiting on the
+// main-memory copy, then finalise the node if asked.
+func (m *Manager) writebackDone(j *dmaJob, res mem.TransferResult) {
+	n, ns := j.n, j.ns
+	if m.cfg.Trace.Enabled() {
+		m.cfg.Trace.Span(trace.Writeback, n.String(), j.inst.Lane(), res.Start, res.End, nil)
+	}
+	ns.wbInFlight = false
+	ns.wbDone = true
+	m.st.DRAMWriteBytes += n.OutputBytes
+	m.noteSpadBytes(n.OutputBytes) // producer scratchpad read
+	m.observeDRAMTransfer(res)
+	ns.actualMemTime += res.End - res.Start
+	ns.actualBytes += n.OutputBytes
+	ns.dramBytes += n.OutputBytes
+	ns.dramTime += res.End - res.Start
+	if m.met != nil {
+		m.noteDMAXfer(j.path, n.OutputBytes, res)
+	}
+	ws := ns.wbWaiters
+	ns.wbWaiters = nil
+	for _, fn := range ws {
+		fn()
+	}
+	if j.finish {
+		m.finishNode(n)
+	}
 }
 
 // finishNode finalises a node: deadline accounting, predictor error

@@ -180,7 +180,7 @@ func (m *Manager) recover(n *graph.Node, inst *Instance, cause string) {
 		m.st.Faults.InvalidatedForwards++
 		if !ps.wbDone && !ps.wbInFlight {
 			m.st.Faults.RecoveryDRAMBytes += p.OutputBytes
-			m.startWriteback(p, ps.inst, func() {})
+			m.startWriteback(p, ps.inst, false)
 		}
 		ps.inst.Parts[ps.part].Node = nil
 	}

@@ -46,20 +46,44 @@ type claim struct {
 	watched  []int // stage indices attached to occ
 	ev       *sim.Event
 	released bool
+
+	// The claim is embedded in its transfer record and recycled with it:
+	// every slice above keeps its capacity, and materialize's scratch
+	// slices and the completion callback are bound once per record.
+	completeFn func()
+	views      []stageView
+	inSvc      []int
+}
+
+// grow gives every per-stage slice of the claim room for S stages; slices
+// of one element type share a backing array.
+func (c *claim) grow(S int) {
+	c.stages = make([]*Resource, 0, S)
+	ts := make([]sim.Time, 6*S)
+	c.tau, c.lam = ts[0:S:S], ts[S:2*S:2*S]
+	c.sum, c.max = ts[2*S:3*S:3*S], ts[3*S:4*S:4*S]
+	c.lastStart, c.lastEnd = ts[4*S:5*S:5*S], ts[5*S:]
+	is := make([]int, 2*S)
+	c.watched, c.inSvc = is[0:0:S], is[S:S]
+	c.views = make([]stageView, S)
 }
 
 // tryClaim installs an analytic claim for t if every stage on its path is
 // an idle, unclaimed, callback-free Resource and the path's occupancy
 // tracker is quiet. It returns false (and leaves no trace) when any
-// condition fails, in which case the caller proceeds chunk-wise.
+// condition fails, in which case the caller proceeds chunk-wise. The claim
+// is t's embedded record, so installing one allocates nothing.
+//
+//relief:hotpath
 func tryClaim(t *transfer) bool {
 	if !coalesceEnabled {
 		return false
 	}
 	S := len(t.path)
-	stages := make([]*Resource, S)
+	c := &t.cl
+	stages := c.stages[:S]
+	watched := c.watched[:0]
 	var occ *Occupancy
-	var watched []int
 	for s, srv := range t.path {
 		r, ok := srv.(*Resource)
 		if !ok {
@@ -79,33 +103,32 @@ func tryClaim(t *transfer) bool {
 			} else if occ != r.occ {
 				return false
 			}
-			watched = append(watched, s)
+			if len(watched) == 2 {
+				return false
+			}
+			watched = watched[:len(watched)+1]
+			watched[len(watched)-1] = s
 		}
 		stages[s] = r
 	}
 	if occ != nil && (occ.active > 0 || occ.cl != nil) {
 		return false
 	}
-	if len(watched) > 2 {
-		return false
-	}
 
-	c := &claim{
-		k:      t.k,
-		t:      t,
-		stages: stages,
-		t0:     t.k.Now(),
-		full:   DefaultChunkBytes,
-		last:   t.chunkSize(t.nChunks - 1),
-		C:      t.nChunks,
-		occ:    occ,
-	}
-	c.tau = make([]sim.Time, S)
-	c.lam = make([]sim.Time, S)
-	c.sum = make([]sim.Time, S)
-	c.max = make([]sim.Time, S)
-	c.lastStart = make([]sim.Time, S)
-	c.lastEnd = make([]sim.Time, S)
+	c.stages = stages
+	c.t0 = t.k.Now()
+	c.full = DefaultChunkBytes
+	c.last = t.chunkSize(t.nChunks - 1)
+	c.C = t.nChunks
+	c.occ = occ
+	c.ev = nil
+	c.released = false
+	c.tau = c.tau[:S]
+	c.lam = c.lam[:S]
+	c.sum = c.sum[:S]
+	c.max = c.max[:S]
+	c.lastStart = c.lastStart[:S]
+	c.lastEnd = c.lastEnd[:S]
 	for s, r := range stages {
 		c.tau[s] = r.ServiceTime(c.full)
 		c.lam[s] = r.ServiceTime(c.last)
@@ -162,7 +185,7 @@ func tryClaim(t *transfer) bool {
 		occ.cl = c
 		occ.Claims++
 	}
-	c.ev = c.k.At(c.lastEnd[S-1], c.complete)
+	c.ev = c.k.At(c.lastEnd[S-1], c.completeFn)
 	return true
 }
 
@@ -380,11 +403,14 @@ func (c *claim) unionBusyUpTo(now sim.Time) sim.Time {
 // every stage's counters, release the claim, and finish the transfer. The
 // stages were never marked busy, so all busy time lands in busyAcc here —
 // queries mid-claim saw the same totals via the stage views.
+//
+//relief:hotpath
 func (c *claim) complete() {
 	if c.released {
 		return
 	}
 	c.released = true
+	c.ev = nil // fired: the kernel recycles the handle
 	for s, r := range c.stages {
 		r.claim = nil
 		r.bytes += c.t.n
@@ -417,6 +443,7 @@ func (c *claim) materialize() {
 	}
 	now := c.k.Now()
 	c.k.Cancel(c.ev)
+	c.ev = nil // the cancelled handle is the kernel's again
 	for _, r := range c.stages {
 		r.claim = nil
 	}
@@ -424,12 +451,12 @@ func (c *claim) materialize() {
 		c.occ.cl = nil
 	}
 	t := c.t
-	views := make([]stageView, len(c.stages))
+	views := c.views[:len(c.stages)]
 	// If the final completion fired at this very tick before the current
 	// event, the reference already delivered the transfer's done callback;
 	// do the same once the counters below are settled.
 	finished := c.doneChunks(len(c.stages)-1, now) == c.C
-	inSvc := make([]int, 0, len(c.stages))
+	inSvc := c.inSvc[:0]
 	for s, r := range c.stages {
 		v := c.view(s, now)
 		views[s] = v
@@ -441,7 +468,8 @@ func (c *claim) materialize() {
 			r.busyAcc += v.busyUpTo - (now - v.busyAt)
 			i := v.done
 			r.cur = request{bytes: c.size(i), done: t.stageDone[s]}
-			inSvc = append(inSvc, s)
+			inSvc = inSvc[:len(inSvc)+1]
+			inSvc[len(inSvc)-1] = s
 			for q := i + 1; q <= i+v.queued; q++ {
 				r.push(request{bytes: c.size(q), done: t.stageDone[s]})
 			}
@@ -469,17 +497,18 @@ func (c *claim) materialize() {
 	for _, s := range inSvc {
 		c.k.At(views[s].svcEnd, c.stages[s].servedFn)
 	}
-	defer func() {
-		if finished {
-			t.finish()
-		}
-	}()
-	if c.occ == nil {
-		return
+	if c.occ != nil {
+		c.restoreUnion(views, now)
 	}
-	// Reconstruct the union tracker. The claim only existed while no
-	// event-driven link was active, so o.active is 0 here and the claim's
-	// own union state replaces it wholesale.
+	if finished {
+		t.finish()
+	}
+}
+
+// restoreUnion reconstructs the union tracker at materialization. The
+// claim only existed while no event-driven link was active, so o.active is
+// 0 here and the claim's own union state replaces it wholesale.
+func (c *claim) restoreUnion(views []stageView, now sim.Time) {
 	o := c.occ
 	switch len(c.watched) {
 	case 1:

@@ -9,6 +9,13 @@
 // is the sole occupant of every resource on its path, the chunk loop is
 // replaced by a closed-form claim (see coalesce.go) that yields identical
 // timing with two events instead of two per chunk.
+//
+// Transfer records, with their embedded claim, are recycled through a free
+// list on the first Resource of each path, so a simulation in steady state
+// starts, claims, materializes and finishes transfers without allocating
+// (TestTransferSteadyStateDoesNotAllocate). The list belongs to the
+// resource, and therefore to one simulation: simulations running on
+// parallel goroutines never share records.
 package mem
 
 import (
@@ -52,7 +59,8 @@ type Resource struct {
 
 	servedFn func() // cached bound method, so serving never allocates
 	occ      *Occupancy
-	claim    *claim // active analytic claim holding this resource, if any
+	claim    *claim    // active analytic claim holding this resource, if any
+	free     *transfer // recycled transfer records homed here (first Resource on their path)
 
 	// OnBusyChange, if non-nil, fires whenever the resource transitions
 	// between idle and busy. Resources with a callback are never claimed

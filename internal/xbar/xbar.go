@@ -44,6 +44,11 @@ type Interconnect struct {
 	bus   *mem.Resource // Bus topology
 	ports []mem.Server  // Crossbar topology, one per accelerator instance
 
+	// paths holds every endpoint pair's resource path, built once in New:
+	// the path from src to dst is paths[(src+1)*endpoints + dst+1].
+	paths     [][]mem.Server
+	endpoints int // instances plus DRAM
+
 	k *sim.Kernel
 	// union-occupancy tracking across interconnect resources (not DRAM)
 	occ *mem.Occupancy
@@ -104,7 +109,27 @@ func New(k *sim.Kernel, cfg Config) *Interconnect {
 	default:
 		panic("xbar: unknown topology")
 	}
+	ic.buildPaths(cfg.Instances)
 	return ic
+}
+
+// buildPaths lays out the path of every (src, dst) pair over the endpoints
+// DRAM and 0..instances-1, all sharing one backing array.
+func (ic *Interconnect) buildPaths(instances int) {
+	ic.endpoints = instances + 1
+	ic.paths = make([][]mem.Server, ic.endpoints*ic.endpoints)
+	backing := make([]mem.Server, 0, 2*len(ic.paths))
+	for src := EndpointDRAM; src < instances; src++ {
+		for dst := EndpointDRAM; dst < instances; dst++ {
+			start := len(backing)
+			first, second := ic.route(src, dst)
+			backing = append(backing, first)
+			if second != nil {
+				backing = append(backing, second)
+			}
+			ic.paths[(src+1)*ic.endpoints+dst+1] = backing[start:len(backing):len(backing)]
+		}
+	}
 }
 
 // Topology returns the configured topology.
@@ -114,30 +139,41 @@ func (ic *Interconnect) Topology() Topology { return ic.topo }
 func (ic *Interconnect) DRAM() mem.Server { return ic.dram }
 
 // Path returns the ordered resources a transfer from src to dst traverses.
-// Endpoints are instance indices or EndpointDRAM.
+// Endpoints are instance indices or EndpointDRAM. Every path is built once
+// in New and the same slice is returned to every caller, so it is
+// read-only: a caller must never modify or append to it.
 func (ic *Interconnect) Path(src, dst int) []mem.Server {
+	if src < EndpointDRAM || dst < EndpointDRAM || src >= ic.endpoints-1 || dst >= ic.endpoints-1 {
+		panic(fmt.Sprintf("xbar: path %d->%d outside %d instances", src, dst, ic.endpoints-1))
+	}
+	return ic.paths[(src+1)*ic.endpoints+dst+1]
+}
+
+// route returns the one or two resources (second nil for one) a transfer
+// from src to dst traverses in the topology.
+func (ic *Interconnect) route(src, dst int) (first, second mem.Server) {
 	switch ic.topo {
 	case Bus:
 		switch {
 		case src == EndpointDRAM && dst == EndpointDRAM:
-			return []mem.Server{ic.dram}
+			return ic.dram, nil
 		case src == EndpointDRAM:
-			return []mem.Server{ic.dram, ic.bus}
+			return ic.dram, ic.bus
 		case dst == EndpointDRAM:
-			return []mem.Server{ic.bus, ic.dram}
+			return ic.bus, ic.dram
 		default:
-			return []mem.Server{ic.bus}
+			return ic.bus, nil
 		}
 	case Crossbar:
 		switch {
 		case src == EndpointDRAM && dst == EndpointDRAM:
-			return []mem.Server{ic.dram}
+			return ic.dram, nil
 		case src == EndpointDRAM:
-			return []mem.Server{ic.dram, ic.ports[dst]}
+			return ic.dram, ic.ports[dst]
 		case dst == EndpointDRAM:
-			return []mem.Server{ic.ports[src], ic.dram}
+			return ic.ports[src], ic.dram
 		default:
-			return []mem.Server{ic.ports[src], ic.ports[dst]}
+			return ic.ports[src], ic.ports[dst]
 		}
 	}
 	panic("xbar: unknown topology")

@@ -2,9 +2,10 @@
 # CI gate: build, vet, relief-lint (the project's own static-analysis
 # suite, see docs/LINTING.md), optional third-party linters, full test
 # suite (including the golden main-grid determinism digest), the race
-# detector, vet and tests of the benchmark module (benchmark/, whose
-# smoke test runs every workload once), then smoke runs of the CLIs and
-# the serving fleet. Throughput is measured by benchmark/run.sh, not here.
+# detector, an allocation ceiling on one BenchmarkFig4 iteration, vet and
+# tests of the benchmark module (benchmark/, whose smoke test runs every
+# workload once), then smoke runs of the CLIs and the serving fleet.
+# Throughput is measured by benchmark/run.sh, not here.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -73,7 +74,20 @@ go test -race ./internal/serve/... ./internal/svctrace/... ./cmd/relief-sweep/..
 go test -race -short $(go list ./... | grep -v -e '^relief/internal/serve' -e '^relief/internal/svctrace' -e '^relief/cmd/relief-sweep')
 
 echo "== bench smoke"
-go test -run '^$' -bench 'BenchmarkFig4$' -benchtime=1x -benchmem .
+# One iteration of the Fig. 4 grid, gated on its allocation count, which is
+# deterministic to within a few dozen objects at any GOMAXPROCS. The
+# ceiling sits about 10% above the 1,573,6xx allocs/op measured once DMA
+# transfer, claim and job records were recycled (5,391,296 before), so a
+# change that brings back per-transfer allocation fails here.
+fig4_alloc_ceiling=1731000
+go test -run '^$' -bench 'BenchmarkFig4$' -benchtime=1x -benchmem . >"$tmp/fig4.txt"
+cat "$tmp/fig4.txt"
+fig4_allocs="$(awk '/^BenchmarkFig4/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }' "$tmp/fig4.txt")"
+test -n "$fig4_allocs"
+if [ "$fig4_allocs" -gt "$fig4_alloc_ceiling" ]; then
+	echo "BenchmarkFig4: $fig4_allocs allocs/op exceeds the ceiling $fig4_alloc_ceiling" >&2
+	exit 1
+fi
 
 echo "== benchmark module"
 # benchmark/ is a module of its own, outside "go test ./..." above; it
