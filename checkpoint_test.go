@@ -15,15 +15,11 @@ import (
 func submitFrames(t *testing.T, sys *relief.System) {
 	t.Helper()
 	for _, app := range []string{"canny", "gru"} {
-		app := app
-		err := sys.SubmitPeriodic(func() *relief.DAG {
-			d, err := relief.BuildWorkload(app)
-			if err != nil {
-				panic(err)
-			}
-			return d
-		}, 5*relief.Millisecond, 40*relief.Millisecond)
+		d, err := relief.BuildWorkload(app)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.SubmitPeriodic(d, 5*relief.Millisecond, 40*relief.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,5 +81,26 @@ func TestFacadeCheckpointRoundTrip(t *testing.T) {
 	cancel()
 	if rep, err := again.RunForContext(ctx, horizon); !errors.Is(err, context.Canceled) || rep != nil {
 		t.Fatalf("cancelled restored run: rep=%v err=%v", rep, err)
+	}
+}
+
+// TestFacadeLoopNeverCheckpoints: a looping DAG's later iterations are
+// released when the previous one finishes, which a restored run cannot
+// re-derive, so arming a checkpoint after the loop starts captures nothing
+// even when the loop runs alone and quiesces between iterations.
+func TestFacadeLoopNeverCheckpoints(t *testing.T) {
+	sys := relief.NewSystem(relief.Config{Policy: "RELIEF"}, relief.WithCheckpoint(relief.Millisecond))
+	d, err := relief.BuildWorkload("gru")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SubmitLoop(d, 0); err != nil {
+		t.Fatal(err)
+	}
+	if rep := sys.RunFor(30 * relief.Millisecond); rep.Apps["gru"].Iterations < 2 {
+		t.Fatalf("loop finished %d iterations, want >= 2", rep.Apps["gru"].Iterations)
+	}
+	if _, err := sys.Checkpoint(); err == nil {
+		t.Fatal("a loop's dynamic release was captured; a restored run could not re-derive it")
 	}
 }

@@ -13,15 +13,11 @@ func loopSystem(t *testing.T, opts ...relief.Option) *relief.System {
 	t.Helper()
 	sys := relief.NewSystem(relief.Config{Policy: "RELIEF"}, opts...)
 	for _, name := range []string{"canny", "gru", "lstm"} {
-		name := name
-		build := func() *relief.DAG {
-			d, err := relief.BuildWorkload(name)
-			if err != nil {
-				t.Fatalf("build %s: %v", name, err)
-			}
-			return d
+		d, err := relief.BuildWorkload(name)
+		if err != nil {
+			t.Fatalf("build %s: %v", name, err)
 		}
-		if err := sys.SubmitLoop(build, 0); err != nil {
+		if err := sys.SubmitLoop(d, 0); err != nil {
 			t.Fatalf("submit %s: %v", name, err)
 		}
 	}

@@ -43,15 +43,11 @@ func main() {
 	for _, policy := range []string{"FCFS", "LAX", "HetSched", "RELIEF"} {
 		sys := relief.NewSystem(relief.Config{Policy: policy})
 		for _, app := range []string{"gru", "lstm", "canny"} {
-			app := app
-			err := sys.SubmitLoop(func() *relief.DAG {
-				d, err := relief.BuildWorkload(app)
-				if err != nil {
-					panic(err)
-				}
-				return d
-			}, 0)
+			d, err := relief.BuildWorkload(app)
 			if err != nil {
+				log.Fatal(err)
+			}
+			if err := sys.SubmitLoop(d, 0); err != nil {
 				log.Fatal(err)
 			}
 		}

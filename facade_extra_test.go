@@ -10,14 +10,11 @@ import (
 
 func TestSubmitPeriodicFacade(t *testing.T) {
 	sys := relief.NewSystem(relief.Config{Policy: "RELIEF"})
-	err := sys.SubmitPeriodic(func() *relief.DAG {
-		d, err := relief.BuildWorkload("canny")
-		if err != nil {
-			panic(err)
-		}
-		return d
-	}, 16600*relief.Microsecond, 50*relief.Millisecond)
+	d, err := relief.BuildWorkload("canny")
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SubmitPeriodic(d, 16600*relief.Microsecond, 50*relief.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	rep := sys.RunFor(60 * relief.Millisecond)

@@ -6,7 +6,6 @@ import (
 
 	"relief/internal/accel"
 	"relief/internal/design"
-	"relief/internal/graph"
 	"relief/internal/sched"
 	"relief/internal/sim"
 	"relief/internal/stats"
@@ -127,9 +126,7 @@ func runPeriodic(policyName string, mix []workload.App) (*stats.Stats, error) {
 	}
 	s := NewSim(cfg)
 	for _, app := range mix {
-		app := app
-		if err := s.Manager.SubmitPeriodic(func() *graph.DAG { return workload.MustBuild(app) },
-			app.Deadline(), workload.ContinuousHorizon); err != nil {
+		if err := s.Manager.SubmitPeriodic(workload.MustBuild(app), app.Deadline(), workload.ContinuousHorizon); err != nil {
 			return nil, err
 		}
 	}
@@ -185,7 +182,7 @@ func runTiled(mix []workload.App, topo string) (*stats.Stats, float64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		if err := s.Manager.Submit(d, 0, nil); err != nil {
+		if err := s.Manager.Submit(d, 0); err != nil {
 			return nil, 0, err
 		}
 	}

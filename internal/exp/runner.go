@@ -11,7 +11,6 @@ import (
 	"relief/internal/ckpt"
 	"relief/internal/core"
 	"relief/internal/fault"
-	"relief/internal/graph"
 	"relief/internal/manager"
 	"relief/internal/metrics"
 	"relief/internal/sched"
@@ -203,29 +202,23 @@ func (sc *Scenario) managerConfig() (manager.Config, error) {
 
 // submitMix registers the scenario's workload schedule with the manager: the
 // periodic release grid when Period is set, otherwise one release of each
-// mix application at t=0 (with continuous-contention rebuild closures when
-// the scenario asks for them). A restored manager skips everything that
-// completed before its capture instant.
+// mix application at t=0 (looping under continuous contention). Every
+// iteration after the first is a clone of the application's one build. A
+// restored manager skips everything that completed before its capture
+// instant.
 func submitMix(m *manager.Manager, sc Scenario) error {
-	if sc.Period > 0 {
-		horizon := sc.EffectiveHorizon()
-		for _, app := range sc.Mix {
-			app := app
-			build := func() *graph.DAG { return workload.MustBuild(app) }
-			if err := m.SubmitPeriodic(build, sc.Period, horizon); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	continuous := sc.Contention == workload.Continuous
 	for _, app := range sc.Mix {
-		app := app
-		var rebuild func() *graph.DAG
-		if continuous {
-			rebuild = func() *graph.DAG { return workload.MustBuild(app) }
+		d := workload.MustBuild(app)
+		var err error
+		switch {
+		case sc.Period > 0:
+			err = m.SubmitPeriodic(d, sc.Period, sc.EffectiveHorizon())
+		case sc.Contention == workload.Continuous:
+			err = m.SubmitLoop(d, 0)
+		default:
+			err = m.Submit(d, 0)
 		}
-		if err := m.Submit(workload.MustBuild(app), 0, rebuild); err != nil {
+		if err != nil {
 			return err
 		}
 	}

@@ -112,6 +112,9 @@ type DAG struct {
 	FinishAt sim.Time
 	// Iteration distinguishes re-submissions under continuous contention.
 	Iteration int
+	// Loop marks a DAG submitted with the manager's SubmitLoop: a Clone of
+	// it is the next iteration, released when it finishes before the horizon.
+	Loop bool
 
 	// Aborted marks a DAG cancelled by the manager's recovery machinery
 	// (retries exhausted or a required accelerator kind permanently dead);
@@ -184,10 +187,18 @@ func (d *DAG) NumEdges() int {
 }
 
 // Finalize fills each node's nominal compute time from the calibrated
-// accelerator model and validates the graph is acyclic. It must be called
-// once after construction, before deadline assignment.
+// accelerator model and validates the graph is acyclic and every edge leads
+// to the node at its ID's position in this DAG, as Clone requires. It must
+// be called once after construction, before deadline assignment.
 func (d *DAG) Finalize() error {
 	for _, n := range d.Nodes {
+		for _, edges := range [2][]*Node{n.Parents, n.Children} {
+			for _, o := range edges {
+				if o.ID < 0 || o.ID >= len(d.Nodes) || d.Nodes[o.ID] != o {
+					return fmt.Errorf("graph: %s node %q has an edge to %q, which is not node %d of the DAG", d.App, n.Name, o.Name, o.ID)
+				}
+			}
+		}
 		if n.Compute == 0 {
 			n.Compute = accel.ComputeTime(n.Kind, n.Op, n.Pixels, n.FilterSize)
 		}
@@ -196,6 +207,55 @@ func (d *DAG) Finalize() error {
 		return err
 	}
 	return nil
+}
+
+// Clone returns an unreleased copy of a finalized DAG's shape: App, Sym,
+// Deadline and every node's static fields (sizes, Compute, RelDeadline),
+// with edges and edge bytes in their original order. All run-time state is
+// zero. The copy shares no memory with d and takes five allocations
+// whatever the node count.
+func (d *DAG) Clone() *DAG {
+	var nlinks, nedges int
+	for _, n := range d.Nodes {
+		nlinks += len(n.Parents) + len(n.Children)
+		nedges += len(n.EdgeInBytes)
+	}
+	c := &DAG{App: d.App, Sym: d.Sym, Deadline: d.Deadline, Nodes: make([]*Node, len(d.Nodes))}
+	nodes := make([]Node, len(d.Nodes))
+	links := make([]*Node, nlinks)
+	edges := make([]int64, nedges)
+	for i, src := range d.Nodes {
+		// Each node's edge slices are capped so an append cannot spill
+		// into its neighbour's.
+		np, nc, ne := len(src.Parents), len(src.Children), len(src.EdgeInBytes)
+		n := &nodes[i]
+		*n = Node{
+			ID:              src.ID,
+			Name:            src.Name,
+			Kind:            src.Kind,
+			Op:              src.Op,
+			FilterSize:      src.FilterSize,
+			Pixels:          src.Pixels,
+			Parents:         links[:np:np],
+			Children:        links[np : np+nc : np+nc],
+			EdgeInBytes:     edges[:ne:ne],
+			ExtraInputBytes: src.ExtraInputBytes,
+			OutputBytes:     src.OutputBytes,
+			Compute:         src.Compute,
+			RelDeadline:     src.RelDeadline,
+			DAG:             c,
+		}
+		links, edges = links[np+nc:], edges[ne:]
+		for j, p := range src.Parents {
+			n.Parents[j] = &nodes[p.ID]
+		}
+		for j, ch := range src.Children {
+			n.Children[j] = &nodes[ch.ID]
+		}
+		copy(n.EdgeInBytes, src.EdgeInBytes)
+		c.Nodes[i] = n
+	}
+	return c
 }
 
 // TopoOrder returns the nodes in a dependency-respecting order, or an error

@@ -31,6 +31,7 @@ import (
 	"relief/internal/accel"
 	"relief/internal/dram"
 	"relief/internal/fault"
+	"relief/internal/graph"
 	"relief/internal/predict"
 	"relief/internal/sim"
 	"relief/internal/stats"
@@ -91,9 +92,10 @@ type captureArm struct {
 // ArmCheckpoint asks the manager to capture a checkpoint at the first
 // quiescent DAG release at or after time at, then skip all remaining
 // releases (the run drains cheaply to its horizon). Must be called before
-// the run starts. Only statically scheduled workloads (Submit before the
-// run, or SubmitPeriodic) can quiesce; continuous-contention resubmission
-// never does, and such a run simply reports no checkpoint.
+// the run starts. Only releases scheduled before the run can capture:
+// Submit's, and SubmitPeriodic's for every iteration (each a clone of its
+// template). SubmitLoop releases each later clone when the previous one
+// finishes, so once a loop has started the run reports no checkpoint.
 func (m *Manager) ArmCheckpoint(at sim.Time) {
 	m.ckpt = &captureArm{armAt: at}
 }
@@ -120,7 +122,7 @@ func (m *Manager) ResumedFrom() sim.Time { return m.resumeAt }
 // armed. It reports true when the release must not proceed: either the
 // capture just happened here (this release and everything after it will be
 // re-derived by the restored run) or it already has (the run is draining).
-func (m *Manager) maybeCapture() bool {
+func (m *Manager) maybeCapture(d *graph.DAG) bool {
 	a := m.ckpt
 	if a == nil {
 		return false
@@ -128,7 +130,10 @@ func (m *Manager) maybeCapture() bool {
 	if a.done {
 		return true
 	}
-	if m.k.Now() < a.armAt || m.inFlight != 0 || m.k.PendingNonReplay() != 0 {
+	// A looping DAG's later iterations are released when the previous one
+	// finishes, not from the schedule: a restored run could not re-derive
+	// such a release.
+	if m.k.Now() < a.armAt || m.inFlight != 0 || m.k.PendingNonReplay() != 0 || d.Loop && d.Iteration > 0 {
 		return false
 	}
 	a.done = true

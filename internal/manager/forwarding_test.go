@@ -22,8 +22,8 @@ func TestPartitionReclaimForcesWriteback(t *testing.T) {
 	cfg := DefaultConfig(sched.FCFS{})
 	cfg.OutputPartitions = 1
 	st := run(t, cfg,
-		chainBuilder("a", 6, 80*sim.Millisecond),
-		chainBuilder("b", 6, 80*sim.Millisecond))
+		chain("a", 6, 80*sim.Millisecond),
+		chain("b", 6, 80*sim.Millisecond))
 	// Single partition + interleaving: intermediate results get evicted,
 	// so a substantial share of edges must fall back to main memory, and
 	// reads can never exceed what was written back plus external inputs.
@@ -51,7 +51,7 @@ func TestLeafAlwaysWrittenBack(t *testing.T) {
 			for _, n := range d.Leaves() {
 				leafBytes += n.OutputBytes
 			}
-			if err := m.Submit(d, 0, nil); err != nil {
+			if err := m.Submit(d, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -66,7 +66,7 @@ func TestLeafAlwaysWrittenBack(t *testing.T) {
 // TestDispensableIntermediates: in a fully colocated chain, intermediate
 // results are never written back ("intermediate results are dispensable").
 func TestDispensableIntermediates(t *testing.T) {
-	st := run(t, DefaultConfig(core.New()), chainBuilder("c", 10, 80*sim.Millisecond))
+	st := run(t, DefaultConfig(core.New()), chain("c", 10, 80*sim.Millisecond))
 	if st.Colocations != 9 {
 		t.Fatalf("colocations = %d, want 9", st.Colocations)
 	}
@@ -87,7 +87,7 @@ func TestFanOutPartialForward(t *testing.T) {
 		d.AddNode("c2", accel.ElemMatrix, accel.OpAdd, 65536, p)
 		return d
 	}
-	st := run(t, DefaultConfig(core.New()), b)
+	st := run(t, DefaultConfig(core.New()), b())
 	if st.Edges != 2 || st.NodesDone != 3 {
 		t.Fatalf("edges=%d nodes=%d", st.Edges, st.NodesDone)
 	}
@@ -117,7 +117,7 @@ func TestDiamondJoin(t *testing.T) {
 		d.AddNode("join", accel.ElemMatrix, accel.OpAdd, 65536, l, r)
 		return d
 	}
-	st := run(t, DefaultConfig(core.New()), b)
+	st := run(t, DefaultConfig(core.New()), b())
 	if st.NodesDone != 4 || st.Edges != 4 {
 		t.Fatalf("nodes=%d edges=%d", st.NodesDone, st.Edges)
 	}
@@ -134,10 +134,10 @@ func TestStaggeredRelease(t *testing.T) {
 	m := New(k, DefaultConfig(core.New()), st)
 	early := workload.MustBuild(workload.Canny)
 	late := workload.MustBuild(workload.Harris)
-	if err := m.Submit(early, 0, nil); err != nil {
+	if err := m.Submit(early, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Submit(late, 5*sim.Millisecond, nil); err != nil {
+	if err := m.Submit(late, 5*sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	m.Run()
@@ -161,7 +161,7 @@ func TestInstanceComputeBusyConservation(t *testing.T) {
 	st := stats.New()
 	m := New(k, DefaultConfig(core.New()), st)
 	d := workload.MustBuild(workload.GRU)
-	if err := m.Submit(d, 0, nil); err != nil {
+	if err := m.Submit(d, 0); err != nil {
 		t.Fatal(err)
 	}
 	m.Run()
@@ -184,7 +184,7 @@ func TestBusyInstanceNeverDoubleLaunched(t *testing.T) {
 	cfg.Trace = rec
 	m := New(k, cfg, st)
 	for _, app := range []workload.App{workload.Canny, workload.Deblur, workload.Harris} {
-		if err := m.Submit(workload.MustBuild(app), 0, nil); err != nil {
+		if err := m.Submit(workload.MustBuild(app), 0); err != nil {
 			t.Fatal(err)
 		}
 	}

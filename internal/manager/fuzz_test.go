@@ -85,7 +85,7 @@ func TestRandomDAGsAllPolicies(t *testing.T) {
 					}
 					wantNodes += len(d.Nodes)
 					wantEdges += d.NumEdges()
-					if err := m.Submit(d, sim.Time(rng.Intn(3))*sim.Millisecond, nil); err != nil {
+					if err := m.Submit(d, sim.Time(rng.Intn(3))*sim.Millisecond); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -644,17 +644,12 @@ func (m *Manager) finishNode(n *graph.Node) {
 		if m.lastDone < now {
 			m.lastDone = now
 		}
-		if m.horizon > 0 && now < m.horizon {
-			if rb := m.rebuild[n.DAG.App]; rb != nil {
-				if next := rb(); next != nil {
-					next.Iteration = n.DAG.Iteration + 1
-					if err := m.submit(next, now, rb, false); err != nil && m.err == nil {
-						m.err = err
-					}
-				} else if m.err == nil {
-					m.err = fmt.Errorf("manager: rebuild of %s returned nil DAG", n.DAG.App)
-				}
-			}
+		if n.DAG.Loop && m.horizon > 0 && now < m.horizon {
+			// The clone carries the template's deadlines.
+			next := n.DAG.Clone()
+			next.Iteration = n.DAG.Iteration + 1
+			next.Loop = true
+			m.k.At(now, func() { m.release(next) })
 		}
 	}
 }

@@ -141,10 +141,8 @@ type Manager struct {
 	byKind   [accel.NumKinds][]*Instance
 	ns       map[*graph.Node]*nodeState
 	freeAt   sim.Time // manager CPU busy-until
-	rebuild  map[string]func() *graph.DAG
 	horizon  sim.Time // continuous-contention cutoff (0 = run to completion)
 	lastDone sim.Time // completion time of the last finished DAG
-	err      error    // first runtime error (e.g. a failing rebuild)
 
 	// Fault injection and recovery state (nil/empty without cfg.Fault).
 	inj    *fault.Injector
@@ -262,7 +260,6 @@ func newManager(k *sim.Kernel, cfg Config, st *stats.Stats, resumeAt sim.Time) *
 		st:       st,
 		policy:   cfg.Policy,
 		ns:       make(map[*graph.Node]*nodeState),
-		rebuild:  make(map[string]func() *graph.DAG),
 		resumeAt: resumeAt,
 	}
 	if e, ok := cfg.Policy.(sched.Escalator); ok {
@@ -303,10 +300,6 @@ func newManager(k *sim.Kernel, cfg Config, st *stats.Stats, resumeAt sim.Time) *
 	}
 	return m
 }
-
-// Err returns the first runtime error the manager recorded (a failing
-// continuous-contention rebuild), or nil.
-func (m *Manager) Err() error { return m.err }
 
 // Interconnect exposes the interconnect for occupancy reporting.
 func (m *Manager) Interconnect() *xbar.Interconnect { return m.ic }
@@ -361,25 +354,15 @@ func (m *Manager) RuntimeEstimate(n *graph.Node) sim.Time {
 	return n.Compute + memT
 }
 
-// Submit registers a DAG for release at the given absolute time. rebuild,
-// if non-nil, is used to re-instantiate the application under continuous
-// contention once this instance finishes.
-func (m *Manager) Submit(d *graph.DAG, release sim.Time, rebuild func() *graph.DAG) error {
-	return m.submit(d, release, rebuild, true)
-}
-
-// submit implements Submit. replay marks statically scheduled releases
-// (everything submitted before the run starts): their events are derivable
-// from the simulation's inputs, which is what lets a checkpoint skip
-// serializing the event queue (sim.AtReplay). Dynamic resubmission under
-// continuous contention is not replayable.
-func (m *Manager) submit(d *graph.DAG, release sim.Time, rebuild func() *graph.DAG, replay bool) error {
-	mode := m.policy.DeadlineMode()
-	if err := graph.AssignDeadlines(d, mode, m.RuntimeEstimate); err != nil {
+// Submit registers a DAG for release at the given absolute time and assigns
+// its node deadlines under the policy's deadline mode (clones of d inherit
+// them). Everything submitted before the run starts is a statically
+// scheduled release: its event is derivable from the simulation's inputs,
+// which is what lets a checkpoint skip serializing the event queue
+// (sim.AtReplay).
+func (m *Manager) Submit(d *graph.DAG, release sim.Time) error {
+	if err := graph.AssignDeadlines(d, m.policy.DeadlineMode(), m.RuntimeEstimate); err != nil {
 		return err
-	}
-	if rebuild != nil {
-		m.rebuild[d.App] = rebuild
 	}
 	m.st.App(d.App, d.Sym, d.Deadline)
 	if release < m.resumeAt {
@@ -387,48 +370,52 @@ func (m *Manager) submit(d *graph.DAG, release sim.Time, rebuild func() *graph.D
 		// effects are already in the restored state.
 		return nil
 	}
-	if replay {
-		m.k.AtReplay(release, func() { m.release(d) })
-	} else {
-		m.k.At(release, func() { m.release(d) })
-	}
+	m.k.AtReplay(release, func() { m.release(d) })
 	return nil
 }
 
-// SubmitPeriodic releases a fresh instance of the application every period
-// until the horizon, regardless of whether earlier instances have finished
-// — the frame-queue arrival pattern of a camera pipeline or an inference
-// stream (e.g. 60 FPS vision = 16.6 ms period). Complements the paper's
+// SubmitLoop is Submit under continuous contention (paper §IV-C): each time
+// d, or a clone released in its place, finishes before the RunContinuous
+// horizon, a clone of it is released at that instant as the next iteration.
+// Only d loops; other DAGs of the same application run once.
+func (m *Manager) SubmitLoop(d *graph.DAG, release sim.Time) error {
+	d.Loop = true
+	return m.Submit(d, release)
+}
+
+// SubmitPeriodic releases d every period until the horizon, regardless of
+// whether earlier iterations have finished — the frame-queue arrival
+// pattern of a camera pipeline or an inference stream (e.g. 60 FPS vision
+// = 16.6 ms period). Iteration 0 is d itself; each later iteration is a
+// clone of d made at its release. Complements the paper's
 // continuous-contention mode, which resubmits on completion.
-func (m *Manager) SubmitPeriodic(build func() *graph.DAG, period, until sim.Time) error {
+func (m *Manager) SubmitPeriodic(d *graph.DAG, period, until sim.Time) error {
 	if period <= 0 {
 		return fmt.Errorf("manager: non-positive period %v", period)
 	}
-	iter := 0
-	for t := sim.Time(0); t < until; t += period {
+	if until <= 0 {
+		return nil
+	}
+	if err := m.Submit(d, 0); err != nil {
+		return err
+	}
+	for t, iter := period, 1; t < until; t, iter = t+period, iter+1 {
 		if t < m.resumeAt {
-			// Restored run: this iteration completed before the capture
-			// instant (a checkpoint is only taken with no DAG in flight, so
-			// every pre-capture release is fully accounted for in the
-			// restored state).
-			iter++
+			// Restored run: as in Submit (a checkpoint is only taken with no
+			// DAG in flight, so every pre-capture release is accounted for).
 			continue
 		}
-		d := build()
-		if d == nil {
-			return fmt.Errorf("manager: periodic build returned nil DAG")
-		}
-		d.Iteration = iter
-		iter++
-		if err := m.Submit(d, t, nil); err != nil {
-			return err
-		}
+		m.k.AtReplay(t, func() {
+			next := d.Clone()
+			next.Iteration = iter
+			m.release(next)
+		})
 	}
 	return nil
 }
 
 func (m *Manager) release(d *graph.DAG) {
-	if m.maybeCapture() {
+	if m.maybeCapture(d) {
 		// A checkpoint was captured at (or before) this release: the run is
 		// draining, and this DAG will be re-derived by the restored run.
 		return

@@ -12,18 +12,17 @@ import (
 	"relief/internal/workload"
 )
 
-// run executes a set of DAG builders to completion under the config.
-func run(t *testing.T, cfg Config, builders ...func() *graph.DAG) *stats.Stats {
+// run executes a set of DAGs to completion under the config.
+func run(t *testing.T, cfg Config, dags ...*graph.DAG) *stats.Stats {
 	t.Helper()
 	k := sim.NewKernel()
 	st := stats.New()
 	m := New(k, cfg, st)
-	for _, b := range builders {
-		d := b()
+	for _, d := range dags {
 		if err := d.Finalize(); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Submit(d, 0, nil); err != nil {
+		if err := m.Submit(d, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -31,27 +30,25 @@ func run(t *testing.T, cfg Config, builders ...func() *graph.DAG) *stats.Stats {
 	return st
 }
 
-// chainBuilder returns a builder for an n-node elem-matrix chain.
-func chainBuilder(name string, n int, deadline sim.Time) func() *graph.DAG {
-	return func() *graph.DAG {
-		d := graph.New(name, "X", deadline)
-		var prev *graph.Node
-		for i := 0; i < n; i++ {
-			if prev == nil {
-				prev = d.AddNode("n0", accel.ElemMatrix, accel.OpAdd, 65536)
-				prev.ExtraInputBytes = 65536
-			} else {
-				prev = d.AddNode("n", accel.ElemMatrix, accel.OpAdd, 65536, prev)
-			}
+// chain builds an n-node elem-matrix chain.
+func chain(name string, n int, deadline sim.Time) *graph.DAG {
+	d := graph.New(name, "X", deadline)
+	var prev *graph.Node
+	for i := 0; i < n; i++ {
+		if prev == nil {
+			prev = d.AddNode("n0", accel.ElemMatrix, accel.OpAdd, 65536)
+			prev.ExtraInputBytes = 65536
+		} else {
+			prev = d.AddNode("n", accel.ElemMatrix, accel.OpAdd, 65536, prev)
 		}
-		return d
 	}
+	return d
 }
 
 func TestSingleChainAllColocations(t *testing.T) {
 	// An uncontended linear chain on one accelerator: every edge should be
 	// a colocation (consumer launches right after its producer).
-	st := run(t, DefaultConfig(core.New()), chainBuilder("c", 6, 50*sim.Millisecond))
+	st := run(t, DefaultConfig(core.New()), chain("c", 6, 50*sim.Millisecond))
 	if st.NodesDone != 6 {
 		t.Fatalf("finished %d nodes, want 6", st.NodesDone)
 	}
@@ -71,7 +68,7 @@ func TestSingleChainAllColocations(t *testing.T) {
 func TestDisableForwardingAllDRAM(t *testing.T) {
 	cfg := DefaultConfig(core.New())
 	cfg.DisableForwarding = true
-	st := run(t, cfg, chainBuilder("c", 6, 50*sim.Millisecond))
+	st := run(t, cfg, chain("c", 6, 50*sim.Millisecond))
 	if st.Forwards != 0 || st.Colocations != 0 {
 		t.Fatalf("forwarding disabled but got fwd=%d col=%d", st.Forwards, st.Colocations)
 	}
@@ -92,7 +89,7 @@ func TestCrossKindForwarding(t *testing.T) {
 		d.AddNode("em", accel.ElemMatrix, accel.OpAdd, 65536, c)
 		return d
 	}
-	st := run(t, DefaultConfig(core.New()), b)
+	st := run(t, DefaultConfig(core.New()), b())
 	if st.Forwards != 1 || st.Colocations != 0 {
 		t.Fatalf("fwd=%d col=%d, want 1/0", st.Forwards, st.Colocations)
 	}
@@ -104,7 +101,7 @@ func TestCrossKindForwarding(t *testing.T) {
 func TestAlwaysWriteBack(t *testing.T) {
 	cfg := DefaultConfig(core.New())
 	cfg.AlwaysWriteBack = true
-	st := run(t, cfg, chainBuilder("c", 4, 50*sim.Millisecond))
+	st := run(t, cfg, chain("c", 4, 50*sim.Millisecond))
 	// Every node writes back even though edges still forward/colocate.
 	if st.DRAMWriteBytes != 4*65536 {
 		t.Errorf("DRAM writes = %d, want %d", st.DRAMWriteBytes, 4*65536)
@@ -137,7 +134,7 @@ func TestEdgeConservation(t *testing.T) {
 				d := workload.MustBuild(app)
 				wantNodes += len(d.Nodes)
 				wantEdges += d.NumEdges()
-				if err := m.Submit(d, 0, nil); err != nil {
+				if err := m.Submit(d, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -170,7 +167,7 @@ func TestDeterminism(t *testing.T) {
 		st := stats.New()
 		m := New(k, DefaultConfig(core.New()), st)
 		for _, app := range []workload.App{workload.Canny, workload.GRU, workload.LSTM} {
-			if err := m.Submit(workload.MustBuild(app), 0, nil); err != nil {
+			if err := m.Submit(workload.MustBuild(app), 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -191,19 +188,11 @@ func TestContinuousResubmission(t *testing.T) {
 	k := sim.NewKernel()
 	st := stats.New()
 	m := New(k, DefaultConfig(core.New()), st)
-	build := chainBuilder("loop", 4, 5*sim.Millisecond)
-	first := build()
-	if err := first.Finalize(); err != nil {
+	d := chain("loop", 4, 5*sim.Millisecond)
+	if err := d.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	rebuild := func() *graph.DAG {
-		d := build()
-		if err := d.Finalize(); err != nil {
-			panic(err)
-		}
-		return d
-	}
-	if err := m.Submit(first, 0, rebuild); err != nil {
+	if err := m.SubmitLoop(d, 0); err != nil {
 		t.Fatal(err)
 	}
 	m.RunContinuous(10 * sim.Millisecond)
@@ -225,8 +214,8 @@ func TestWritebackWhenConsumerNotNextInLine(t *testing.T) {
 	// Two chains on one elem-matrix accelerator under FCFS: interleaving
 	// means children are not next in line, forcing write-backs.
 	st := run(t, DefaultConfig(sched.FCFS{}),
-		chainBuilder("a", 5, 50*sim.Millisecond),
-		chainBuilder("b", 5, 50*sim.Millisecond))
+		chain("a", 5, 50*sim.Millisecond),
+		chain("b", 5, 50*sim.Millisecond))
 	if st.DRAMWriteBytes <= 2*65536 {
 		t.Errorf("expected intermediate write-backs beyond the 2 leaves, got %d bytes", st.DRAMWriteBytes)
 	}
@@ -245,7 +234,7 @@ func TestMultiInstanceForwarding(t *testing.T) {
 		d.AddNode("c2", accel.ElemMatrix, accel.OpAdd, 65536, p)
 		return d
 	}
-	st := run(t, cfg, b)
+	st := run(t, cfg, b())
 	if st.Forwards+st.Colocations != 2 {
 		t.Fatalf("fwd=%d col=%d, want both edges satisfied locally", st.Forwards, st.Colocations)
 	}
@@ -260,7 +249,7 @@ func TestNodeTimesPopulated(t *testing.T) {
 	st := stats.New()
 	m := New(k, DefaultConfig(core.New()), st)
 	d := workload.MustBuild(workload.Canny)
-	if err := m.Submit(d, 0, nil); err != nil {
+	if err := m.Submit(d, 0); err != nil {
 		t.Fatal(err)
 	}
 	m.Run()
@@ -286,7 +275,7 @@ func TestNodeTimesPopulated(t *testing.T) {
 // TestSchedulerCostCharged: scheduler latency samples are recorded and the
 // manager serialises its work.
 func TestSchedulerCostCharged(t *testing.T) {
-	st := run(t, DefaultConfig(core.New()), chainBuilder("c", 5, 50*sim.Millisecond))
+	st := run(t, DefaultConfig(core.New()), chain("c", 5, 50*sim.Millisecond))
 	if len(st.SchedCosts) < 5 {
 		t.Fatalf("recorded %d scheduler samples, want >= 5", len(st.SchedCosts))
 	}
@@ -351,7 +340,7 @@ func TestSubmitRejectsCyclicDAG(t *testing.T) {
 	a.Parents = append(a.Parents, b)
 	a.EdgeInBytes = append(a.EdgeInBytes, 100)
 	b.Children = append(b.Children, a)
-	if err := m.Submit(d, 0, nil); err == nil {
+	if err := m.Submit(d, 0); err == nil {
 		t.Fatal("cyclic DAG accepted")
 	}
 }
@@ -372,8 +361,8 @@ func TestSinglePartitionStillCorrect(t *testing.T) {
 	cfg := DefaultConfig(core.New())
 	cfg.OutputPartitions = 1
 	st := run(t, cfg,
-		chainBuilder("a", 8, 50*sim.Millisecond),
-		chainBuilder("b", 8, 50*sim.Millisecond))
+		chain("a", 8, 50*sim.Millisecond),
+		chain("b", 8, 50*sim.Millisecond))
 	if st.NodesDone != 16 {
 		t.Fatalf("finished %d nodes, want 16", st.NodesDone)
 	}

@@ -1,10 +1,10 @@
 package manager
 
 import (
+	"fmt"
 	"testing"
 
 	"relief/internal/core"
-	"relief/internal/graph"
 	"relief/internal/sim"
 	"relief/internal/stats"
 	"relief/internal/trace"
@@ -17,8 +17,7 @@ func TestSubmitPeriodic(t *testing.T) {
 	m := New(k, DefaultConfig(core.New()), st)
 	period := 7 * sim.Millisecond
 	horizon := 50 * sim.Millisecond
-	err := m.SubmitPeriodic(func() *graph.DAG { return workload.MustBuild(workload.GRU) }, period, horizon)
-	if err != nil {
+	if err := m.SubmitPeriodic(workload.MustBuild(workload.GRU), period, horizon); err != nil {
 		t.Fatal(err)
 	}
 	m.RunContinuous(horizon)
@@ -38,37 +37,85 @@ func TestSubmitPeriodicOverlap(t *testing.T) {
 	// still finish (late) and releases stay on the period grid.
 	k := sim.NewKernel()
 	st := stats.New()
-	m := New(k, DefaultConfig(core.New()), st)
+	cfg := DefaultConfig(core.New())
+	rec := trace.NewRecorder()
+	cfg.Trace = rec
+	m := New(k, cfg, st)
 	period := 2 * sim.Millisecond
-	var dags []*graph.DAG
-	err := m.SubmitPeriodic(func() *graph.DAG {
-		d := workload.MustBuild(workload.GRU)
-		dags = append(dags, d)
-		return d
-	}, period, 10*sim.Millisecond)
-	if err != nil {
+	if err := m.SubmitPeriodic(workload.MustBuild(workload.GRU), period, 10*sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	m.RunContinuous(60 * sim.Millisecond)
-	if len(dags) != 5 {
-		t.Fatalf("released %d instances, want 5", len(dags))
+	releases := releasesOf(rec)
+	if len(releases) != 5 {
+		t.Fatalf("released %d instances, want 5", len(releases))
 	}
-	for i, d := range dags {
-		if d.Release != sim.Time(i)*period {
-			t.Errorf("instance %d released at %v, want %v", i, d.Release, sim.Time(i)*period)
+	for i, e := range releases {
+		if e.Start != sim.Time(i)*period {
+			t.Errorf("instance %d released at %v, want %v", i, e.Start, sim.Time(i)*period)
 		}
-		if !d.Finished() {
-			t.Errorf("instance %d unfinished", i)
-		}
-		if d.Iteration != i {
-			t.Errorf("instance %d iteration = %d", i, d.Iteration)
+		if want := fmt.Sprintf("gru#%d", i); e.Name != want {
+			t.Errorf("instance %d released as %s, want %s", i, e.Name, want)
 		}
 	}
+	if a := st.Apps["gru"]; a.Iterations != 5 {
+		t.Errorf("finished %d instances, want all 5", a.Iterations)
+	}
+}
+
+// TestLoopIsPerDAG: SubmitLoop makes only the DAG it is given loop. A plain
+// GRU released at 0 runs once even though another GRU loops from 25 ms: no
+// GRU is released between the plain instance's finish and 25 ms.
+func TestLoopIsPerDAG(t *testing.T) {
+	k := sim.NewKernel()
+	st := stats.New()
+	cfg := DefaultConfig(core.New())
+	rec := trace.NewRecorder()
+	cfg.Trace = rec
+	m := New(k, cfg, st)
+	plain := workload.MustBuild(workload.GRU)
+	if err := m.Submit(plain, 0); err != nil {
+		t.Fatal(err)
+	}
+	loopAt := 25 * sim.Millisecond
+	if err := m.SubmitLoop(workload.MustBuild(workload.GRU), loopAt); err != nil {
+		t.Fatal(err)
+	}
+	m.RunContinuous(30 * sim.Millisecond)
+	if !plain.Finished() || plain.FinishAt >= loopAt {
+		t.Fatalf("plain GRU did not finish before %v (finished %v at %v)", loopAt, plain.Finished(), plain.FinishAt)
+	}
+	looped := 0
+	for _, e := range releasesOf(rec) {
+		switch {
+		case e.Start > 0 && e.Start < loopAt:
+			t.Errorf("%s released at %v, after the plain GRU finished at %v and before the loop starts at %v",
+				e.Name, e.Start, plain.FinishAt, loopAt)
+		case e.Start >= loopAt:
+			looped++
+		}
+	}
+	// GRU alone runs ~3.3 ms, so the loop finishes once and re-releases.
+	if looped < 2 {
+		t.Errorf("looping GRU released %d times in [%v, 30ms), want >= 2", looped, loopAt)
+	}
+}
+
+// releasesOf returns the DAG release instants a recorder captured, in time
+// order.
+func releasesOf(rec *trace.Recorder) []trace.Event {
+	var out []trace.Event
+	for _, e := range rec.Events() {
+		if e.Kind == trace.Release {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 func TestSubmitPeriodicInvalidPeriod(t *testing.T) {
 	m := New(sim.NewKernel(), DefaultConfig(core.New()), stats.New())
-	if err := m.SubmitPeriodic(func() *graph.DAG { return workload.MustBuild(workload.GRU) }, 0, sim.Millisecond); err == nil {
+	if err := m.SubmitPeriodic(workload.MustBuild(workload.GRU), 0, sim.Millisecond); err == nil {
 		t.Fatal("zero period accepted")
 	}
 }
@@ -82,7 +129,7 @@ func TestTraceRecordsRun(t *testing.T) {
 	rec := trace.NewRecorder()
 	cfg.Trace = rec
 	m := New(k, cfg, st)
-	if err := m.Submit(workload.MustBuild(workload.Canny), 0, nil); err != nil {
+	if err := m.Submit(workload.MustBuild(workload.Canny), 0); err != nil {
 		t.Fatal(err)
 	}
 	m.Run()
@@ -117,7 +164,7 @@ func TestDetailedDRAMRuns(t *testing.T) {
 		cfg.DetailedDRAM = detailed
 		m := New(k, cfg, st)
 		for _, app := range []workload.App{workload.Canny, workload.GRU} {
-			if err := m.Submit(workload.MustBuild(app), 0, nil); err != nil {
+			if err := m.Submit(workload.MustBuild(app), 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -7,7 +7,6 @@ import (
 	"relief/internal/accel"
 	"relief/internal/core"
 	"relief/internal/fault"
-	"relief/internal/graph"
 	"relief/internal/sim"
 	"relief/internal/stats"
 	"relief/internal/workload"
@@ -27,12 +26,12 @@ func statsLine(st *stats.Stats) string {
 // fault-free run and requires bit-identical results: false alarms must
 // re-arm silently, never recover a live task.
 func TestHairTriggerWatchdogNeutral(t *testing.T) {
-	base := run(t, DefaultConfig(core.New()), func() *graph.DAG { return workload.MustBuild(workload.Canny) })
+	base := run(t, DefaultConfig(core.New()), workload.MustBuild(workload.Canny))
 
 	cfg := DefaultConfig(core.New())
 	cfg.Fault = &fault.Plan{Seed: 3} // zero rates: nothing ever faults
 	cfg.WatchdogMult = 0.001
-	tight := run(t, cfg, func() *graph.DAG { return workload.MustBuild(workload.Canny) })
+	tight := run(t, cfg, workload.MustBuild(workload.Canny))
 
 	if a, b := statsLine(base), statsLine(tight); a != b {
 		t.Fatalf("hair-trigger watchdog perturbed results:\n%s\n%s", a, b)
@@ -77,7 +76,7 @@ func TestDeathMidDAGRecovers(t *testing.T) {
 	st := stats.New()
 	m := New(k, cfg, st)
 	d := workload.MustBuild(workload.Canny)
-	if err := m.Submit(d, 0, nil); err != nil {
+	if err := m.Submit(d, 0); err != nil {
 		t.Fatal(err)
 	}
 	end := m.Run() // must terminate
@@ -128,7 +127,7 @@ func TestAllInstancesDeadAborts(t *testing.T) {
 	st := stats.New()
 	m := New(k, cfg, st)
 	d := workload.MustBuild(workload.GRU) // heavy elem-matrix user
-	if err := m.Submit(d, 0, nil); err != nil {
+	if err := m.Submit(d, 0); err != nil {
 		t.Fatal(err)
 	}
 	m.Run() // must not wedge
@@ -143,7 +142,7 @@ func TestAllInstancesDeadAborts(t *testing.T) {
 	}
 	// A fresh submission needing the dead kind aborts at release.
 	d2 := workload.MustBuild(workload.GRU)
-	if err := m.Submit(d2, k.Now(), nil); err != nil {
+	if err := m.Submit(d2, k.Now()); err != nil {
 		t.Fatal(err)
 	}
 	m.Run()
@@ -162,7 +161,7 @@ func TestTransientFailureRetriesToCompletion(t *testing.T) {
 	st := stats.New()
 	m := New(k, cfg, st)
 	d := workload.MustBuild(workload.Harris)
-	if err := m.Submit(d, 0, nil); err != nil {
+	if err := m.Submit(d, 0); err != nil {
 		t.Fatal(err)
 	}
 	m.Run()
@@ -185,7 +184,7 @@ func TestRetriesExhaustedAbortsCleanly(t *testing.T) {
 	st := stats.New()
 	m := New(k, cfg, st)
 	d := workload.MustBuild(workload.Canny)
-	if err := m.Submit(d, 0, nil); err != nil {
+	if err := m.Submit(d, 0); err != nil {
 		t.Fatal(err)
 	}
 	m.Run()
@@ -204,10 +203,10 @@ func TestRetriesExhaustedAbortsCleanly(t *testing.T) {
 // TestSlowdownOnlyDelays injects pure slowdowns: everything completes,
 // nothing retries, and the makespan strictly grows.
 func TestSlowdownOnlyDelays(t *testing.T) {
-	base := run(t, DefaultConfig(core.New()), func() *graph.DAG { return workload.MustBuild(workload.LSTM) })
+	base := run(t, DefaultConfig(core.New()), workload.MustBuild(workload.LSTM))
 	cfg := DefaultConfig(core.New())
 	cfg.Fault = &fault.Plan{Seed: 4, Rates: fault.Rates{TaskSlow: 0.5, SlowFactor: 4}}
-	slow := run(t, cfg, func() *graph.DAG { return workload.MustBuild(workload.LSTM) })
+	slow := run(t, cfg, workload.MustBuild(workload.LSTM))
 	if slow.Faults.Slowdowns < 1 {
 		t.Fatalf("no slowdowns at rate 0.5: %+v", slow.Faults)
 	}

@@ -324,10 +324,36 @@ func TestClusterSweepMergedIdentical(t *testing.T) {
 // TestClusterSweepDistributesCells: a sweep through one coordinator places
 // work on both replicas by ring ownership, and no cell runs twice.
 func TestClusterSweepDistributesCells(t *testing.T) {
-	s1, _, url1, _, execs1, execs2 := twoReplicaFleet(t)
-	_ = s1
+	s1, _, url1, url2, execs1, execs2 := twoReplicaFleet(t)
 
-	resp, b := postSweep(t, url1, `{"contention":["low"],"policies":["FCFS","RELIEF"]}`)
+	// The ring follows the listeners' random ports, so one fixed grid can
+	// land wholly on one replica. Sweep the first 10-cell grid of which
+	// each replica owns at least one cell.
+	spec := ""
+	for _, policies := range []string{`"FCFS","RELIEF"`, `"LAX","GEDF-N"`, `"LL","HetSched"`, `"GEDF-D","RELIEF-LAX"`} {
+		cand := `{"contention":["low"],"policies":[` + policies + `]}`
+		var sp SweepSpec
+		if err := json.Unmarshal([]byte(cand), &sp); err != nil {
+			t.Fatal(err)
+		}
+		cells, err := sp.expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned := map[string]int{}
+		for _, c := range cells {
+			owned[s1.cluster.ring.owner(c.Digest)]++
+		}
+		if owned[url1] > 0 && owned[url2] > 0 {
+			spec = cand
+			break
+		}
+	}
+	if spec == "" {
+		t.Fatal("every candidate grid lands on one replica")
+	}
+
+	resp, b := postSweep(t, url1, spec)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, b)
 	}

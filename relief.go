@@ -245,7 +245,8 @@ func WithMetricsInterval(d Time) Option {
 // state at the first quiescent instant (no work in flight, only replayable
 // events pending) at or after armAt. Quiescent instants occur between the
 // iterations of SubmitPeriodic workloads; a system whose iterations always
-// overlap never quiesces and Checkpoint reports that after the run. See
+// overlap never quiesces and Checkpoint reports that after the run, as
+// does a SubmitLoop workload once its loop has started. See
 // docs/CHECKPOINT.md. Tracing cannot cross a checkpoint, so WithCheckpoint
 // is incompatible with Config.Trace.
 func WithCheckpoint(armAt Time) Option {
@@ -331,7 +332,8 @@ func buildConfig(cfg Config, opts []Option) (manager.Config, error) {
 // configuration (the envelope checksum guards integrity, not compatibility —
 // mismatched platforms are detected during restore where possible). The
 // caller then re-submits the same workload schedule — identical Submit /
-// SubmitPeriodic calls — and runs as usual; releases and scripted events
+// SubmitPeriodic calls with freshly built template DAGs (a DAG released by
+// one System is spent) — and runs as usual; releases and scripted events
 // that predate the capture instant are skipped automatically, so the resumed
 // run is byte-identical to an uninterrupted one. The returned Time is the
 // simulated instant the checkpoint was captured at.
@@ -351,92 +353,54 @@ func RunFrom(cfg Config, envelope []byte, opts ...Option) (*System, Time, error)
 	return newSystem(sm, opts), Time(env.CapturedPs), nil
 }
 
-// Err returns the first error the system recorded: a construction error
-// (invalid policy or predictor name) or a runtime error such as a failing
-// SubmitLoop rebuild. Nil means the system is healthy.
-func (s *System) Err() error {
-	if s.err != nil {
-		return s.err
-	}
-	if s.sim.Manager != nil {
-		return s.sim.Manager.Err()
-	}
-	return nil
-}
+// Err returns the system's construction error (an invalid policy,
+// predictor name or instance count), or nil when the system is healthy.
+func (s *System) Err() error { return s.err }
 
 // Submit registers a DAG for release at the given time. The DAG is
-// finalized (compute times filled, acyclicity checked) if it has not been.
+// finalized (compute times filled, graph validated) if it has not been.
 func (s *System) Submit(d *DAG, release Time) error {
-	if s.err != nil {
-		return s.err
-	}
-	if err := d.Finalize(); err != nil {
+	if err := s.finalize(d); err != nil {
 		return err
 	}
-	return s.sim.Manager.Submit(d, release, nil)
+	return s.sim.Manager.Submit(d, release)
 }
 
-// SubmitLoop registers an application that re-submits itself whenever an
-// instance finishes (continuous contention). build must return a fresh DAG
-// each call; a failing rebuild mid-run stops the loop and is reported by
-// Err.
-func (s *System) SubmitLoop(build func() *DAG, release Time) error {
-	if s.err != nil {
-		return s.err
-	}
-	first := build()
-	if first == nil {
-		return fmt.Errorf("relief: SubmitLoop build returned nil DAG")
-	}
-	if err := first.Finalize(); err != nil {
+// SubmitLoop registers d for release at the given time and, whenever an
+// iteration finishes before the RunFor horizon, releases a copy of d as the
+// next one (continuous contention). d is the template: it is finalized
+// once, and every iteration has its shape and deadlines.
+func (s *System) SubmitLoop(d *DAG, release Time) error {
+	if err := s.finalize(d); err != nil {
 		return err
 	}
-	return s.sim.Manager.Submit(first, release, func() *DAG {
-		d := build()
-		if d == nil {
-			return nil // the manager records the error and stops the loop
-		}
-		if err := d.Finalize(); err != nil {
-			if s.err == nil {
-				s.err = err
-			}
-			return nil
-		}
-		return d
-	})
+	return s.sim.Manager.SubmitLoop(d, release)
 }
 
-// SubmitPeriodic releases a fresh instance of the application every period
-// until the horizon — frame-queue arrivals, e.g. a 60 FPS camera pipeline.
-// Run the system with RunFor(horizon).
-func (s *System) SubmitPeriodic(build func() *DAG, period, horizon Time) error {
+// SubmitPeriodic releases d every period until the horizon — frame-queue
+// arrivals, e.g. a 60 FPS camera pipeline. d is the template: it is
+// finalized once, and each later frame is a copy of it. Run the system
+// with RunFor(horizon).
+func (s *System) SubmitPeriodic(d *DAG, period, horizon Time) error {
+	if err := s.finalize(d); err != nil {
+		return err
+	}
+	return s.sim.Manager.SubmitPeriodic(d, period, horizon)
+}
+
+// finalize readies d for submission, or reports the construction error.
+func (s *System) finalize(d *DAG) error {
 	if s.err != nil {
 		return s.err
 	}
-	var buildErr error
-	err := s.sim.Manager.SubmitPeriodic(func() *DAG {
-		d := build()
-		if d == nil {
-			buildErr = fmt.Errorf("relief: SubmitPeriodic build returned nil DAG")
-			return nil
-		}
-		if err := d.Finalize(); err != nil {
-			buildErr = err
-			return nil
-		}
-		return d
-	}, period, horizon)
-	if buildErr != nil {
-		return buildErr
-	}
-	return err
+	return d.Finalize()
 }
 
 // Run executes the simulation until every submitted DAG completes and
 // returns the report. A System can only run once.
 func (s *System) Run() *Report {
-	// A context that is never done cannot fail the run, and runtime errors
-	// surface through Err.
+	// A context that is never done cannot fail the run, and a construction
+	// error is reported by Err.
 	_ = s.drive(context.Background(), (*manager.Manager).Run)
 	return newReport(s.sim.Stats)
 }
@@ -466,15 +430,12 @@ func (s *System) RunForContext(ctx context.Context, horizon Time) (*Report, erro
 }
 
 // runContext drives the system under ctx and reports the run, or the
-// system's error: construction, cancellation, or a runtime failure.
+// system's error: construction or cancellation.
 func (s *System) runContext(ctx context.Context, run func(*manager.Manager) Time) (*Report, error) {
 	if err := s.Err(); err != nil {
 		return nil, err
 	}
 	if err := s.drive(ctx, run); err != nil {
-		return nil, err
-	}
-	if err := s.Err(); err != nil {
 		return nil, err
 	}
 	return newReport(s.sim.Stats), nil

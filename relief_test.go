@@ -134,14 +134,11 @@ func TestSystemInvalidPolicyErr(t *testing.T) {
 
 func TestSubmitLoopAndRunFor(t *testing.T) {
 	sys := relief.NewSystem(relief.Config{Policy: "RELIEF"})
-	err := sys.SubmitLoop(func() *relief.DAG {
-		d, err := relief.BuildWorkload("gru")
-		if err != nil {
-			panic(err)
-		}
-		return d
-	}, 0)
+	d, err := relief.BuildWorkload("gru")
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SubmitLoop(d, 0); err != nil {
 		t.Fatal(err)
 	}
 	rep := sys.RunFor(30 * relief.Millisecond)
