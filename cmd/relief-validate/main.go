@@ -180,7 +180,7 @@ func main() {
 				return "", err
 			}
 			if !est.Sampled {
-				return "", fmt.Errorf("sampler fell back to a full run")
+				return "", fmt.Errorf("sampler fell back to a full run (%s)", est.Fallback)
 			}
 			full, err := exp.Run(sc)
 			if err != nil {

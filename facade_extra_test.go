@@ -27,6 +27,42 @@ func TestSubmitPeriodicFacade(t *testing.T) {
 	}
 }
 
+// TestSubmitSameDAGTwiceFails: a DAG runs once. Every later submit of it,
+// to the same system or another, is an error rather than a silently
+// dropped release; a clone runs as a new iteration.
+func TestSubmitSameDAGTwiceFails(t *testing.T) {
+	sys := relief.NewSystem(relief.Config{Policy: "RELIEF"})
+	d, err := relief.BuildWorkload("canny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Submit(d, 0); err != nil {
+		t.Fatal(err)
+	}
+	other := relief.NewSystem(relief.Config{Policy: "RELIEF"})
+	for name, submit := range map[string]func() error{
+		"Submit":                func() error { return sys.Submit(d, relief.Millisecond) },
+		"SubmitLoop":            func() error { return sys.SubmitLoop(d, relief.Millisecond) },
+		"SubmitPeriodic":        func() error { return sys.SubmitPeriodic(d, relief.Millisecond, 5*relief.Millisecond) },
+		"Submit to another":     func() error { return other.Submit(d, 0) },
+		"SubmitLoop to another": func() error { return other.SubmitLoop(d, 0) },
+	} {
+		if err := submit(); err == nil {
+			t.Errorf("%s of an already submitted DAG returned nil", name)
+		}
+	}
+	if d.Loop {
+		t.Error("a refused SubmitLoop marked the DAG as looping")
+	}
+	if err := sys.Submit(d.Clone(), relief.Millisecond); err != nil {
+		t.Fatalf("submitting a clone: %v", err)
+	}
+	rep := sys.Run()
+	if a := rep.Apps["canny"]; a.Iterations != 2 || rep.NodesDone != 2*len(d.Nodes) {
+		t.Errorf("finished %d iterations and %d nodes, want 2 and %d", a.Iterations, rep.NodesDone, 2*len(d.Nodes))
+	}
+}
+
 func TestTraceThroughFacade(t *testing.T) {
 	rec := relief.NewTraceRecorder()
 	sys := relief.NewSystem(relief.Config{Policy: "RELIEF", Trace: rec})

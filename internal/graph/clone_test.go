@@ -37,8 +37,8 @@ func variants(t *testing.T) map[string]func() *graph.DAG {
 
 // TestCloneMatchesBuild: cloning a DAG that has run to completion gives
 // exactly a fresh build with the same deadlines: every static field, the
-// edges with their bytes in order, and zero run-time state. The clone shares
-// no memory with its source.
+// edges with their bytes in order, and zero run-time state, including no
+// manager bookkeeping (Ext). The clone shares no memory with its source.
 func TestCloneMatchesBuild(t *testing.T) {
 	for name, build := range variants(t) {
 		t.Run(name, func(t *testing.T) {
@@ -57,6 +57,14 @@ func TestCloneMatchesBuild(t *testing.T) {
 			}
 			got := src.Clone()
 			sameDAG(t, got, want)
+			for i, n := range got.Nodes {
+				if src.Nodes[i].Ext == nil {
+					t.Fatalf("source node %d carries no manager state after its run", i)
+				}
+				if n.Ext != nil {
+					t.Fatalf("clone node %d carries the source's manager state", i)
+				}
+			}
 
 			before := fmt.Sprint(edgeBytes(src))
 			for _, n := range got.Nodes {

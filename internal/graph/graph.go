@@ -72,6 +72,11 @@ type Node struct {
 	ReadyAt, StartAt, FinishAt sim.Time
 	// ActualRuntime is StartAt..FinishAt, for predictor error accounting.
 	ActualRuntime sim.Time
+
+	// Ext is the manager's private per-node bookkeeping, set when the
+	// node's DAG is released. Callers must not touch it. Keeping it on the
+	// node means it is freed with its iteration.
+	Ext any
 }
 
 // NumEdgesIn returns the number of producer edges into the node.
@@ -115,6 +120,9 @@ type DAG struct {
 	// Loop marks a DAG submitted with the manager's SubmitLoop: a Clone of
 	// it is the next iteration, released when it finishes before the horizon.
 	Loop bool
+	// Submitted marks a DAG handed to a manager's Submit. A DAG runs once:
+	// a second Submit, to any manager, is an error; submit a Clone instead.
+	Submitted bool
 
 	// Aborted marks a DAG cancelled by the manager's recovery machinery
 	// (retries exhausted or a required accelerator kind permanently dead);

@@ -74,7 +74,6 @@ type dmaJob struct {
 	attempt int // corruption-triggered re-runs so far
 
 	n    *graph.Node // consumer (forward, DRAM read) or producer (write-back)
-	ns   *nodeState  // m.state(n)
 	part int         // input gates: the consumer's output partition
 	att  int         // input gates: the consumer's launch attempt
 	p    *graph.Node // forward: the producer
@@ -101,7 +100,7 @@ func (inst *Instance) Lane() string {
 
 // newDMA returns a job record of the given kind for a transfer of
 // bytes over path, recycled from the instance's free list when possible.
-func (inst *Instance) newDMA(kind dmaKind, path []mem.Server, bytes int64, n *graph.Node, ns *nodeState) *dmaJob {
+func (inst *Instance) newDMA(kind dmaKind, path []mem.Server, bytes int64, n *graph.Node) *dmaJob {
 	j := inst.dmaFree
 	if j == nil {
 		j = &dmaJob{inst: inst}
@@ -110,7 +109,7 @@ func (inst *Instance) newDMA(kind dmaKind, path []mem.Server, bytes int64, n *gr
 		inst.dmaFree = j.freeNext
 		j.freeNext = nil
 	}
-	j.kind, j.path, j.bytes, j.n, j.ns = kind, path, bytes, n, ns
+	j.kind, j.path, j.bytes, j.n = kind, path, bytes, n
 	return j
 }
 
@@ -300,7 +299,7 @@ func (m *Manager) fetchEdge(n *graph.Node, inst *Instance, part int, p *graph.No
 		pbuf := ps.inst.Parts[ps.part]
 		pbuf.OngoingReads++
 		ns.pendingInputs++
-		j := inst.newDMA(dmaForward, m.ic.Path(ps.inst.Index, inst.Index), bytes, n, ns)
+		j := inst.newDMA(dmaForward, m.ic.Path(ps.inst.Index, inst.Index), bytes, n)
 		j.part, j.att, j.p, j.pbuf = part, att, p, pbuf
 		inst.enqueueDMA(j)
 	default:
@@ -310,7 +309,7 @@ func (m *Manager) fetchEdge(n *graph.Node, inst *Instance, part int, p *graph.No
 		ps.fetched++
 		ns.pendingInputs++
 		if ps.wbInFlight {
-			m.state(p).wbWaiters = append(ps.wbWaiters, func() {
+			ps.wbWaiters = append(ps.wbWaiters, func() {
 				m.dramReadStarted(n, inst, part, bytes, att)
 			})
 		} else {
@@ -327,10 +326,11 @@ func (m *Manager) forwardDone(j *dmaJob, res mem.TransferResult) {
 	}
 	m.st.SpadXferBytes += j.bytes
 	m.noteSpadBytes(2 * j.bytes) // producer read + consumer write
-	j.ns.actualMemTime += res.End - res.Start
-	j.ns.actualBytes += j.bytes
+	ns := m.state(j.n)
+	ns.actualMemTime += res.End - res.Start
+	ns.actualBytes += j.bytes
 	if m.met != nil {
-		m.noteDMAInput(j.ns, j.path, j.bytes, res)
+		m.noteDMAInput(ns, j.path, j.bytes, res)
 	}
 	m.inputDone(j.n, j.inst, j.part, j.att)
 }
@@ -338,14 +338,14 @@ func (m *Manager) forwardDone(j *dmaJob, res mem.TransferResult) {
 // dramReadStarted issues a main-memory input read that was already counted
 // in pendingInputs.
 func (m *Manager) dramReadStarted(n *graph.Node, inst *Instance, part int, bytes int64, att int) {
-	j := inst.newDMA(dmaDRAMRead, m.ic.Path(xbar.EndpointDRAM, inst.Index), bytes, n, m.state(n))
+	j := inst.newDMA(dmaDRAMRead, m.ic.Path(xbar.EndpointDRAM, inst.Index), bytes, n)
 	j.part, j.att = part, att
 	inst.enqueueDMA(j)
 }
 
 // dramReadDone completes a main-memory input read.
 func (m *Manager) dramReadDone(j *dmaJob, res mem.TransferResult) {
-	ns := j.ns
+	ns := m.state(j.n)
 	m.st.DRAMReadBytes += j.bytes
 	m.noteSpadBytes(j.bytes) // consumer scratchpad write
 	m.observeDRAMTransfer(res)
@@ -567,7 +567,7 @@ func (m *Manager) startWriteback(n *graph.Node, inst *Instance, finish bool) {
 		return
 	}
 	ns.wbInFlight = true
-	j := inst.newDMA(dmaWriteback, m.ic.Path(inst.Index, xbar.EndpointDRAM), n.OutputBytes, n, ns)
+	j := inst.newDMA(dmaWriteback, m.ic.Path(inst.Index, xbar.EndpointDRAM), n.OutputBytes, n)
 	j.finish = finish
 	inst.enqueueDMA(j)
 }
@@ -575,7 +575,8 @@ func (m *Manager) startWriteback(n *graph.Node, inst *Instance, finish bool) {
 // writebackDone completes a write-back: wake readers waiting on the
 // main-memory copy, then finalise the node if asked.
 func (m *Manager) writebackDone(j *dmaJob, res mem.TransferResult) {
-	n, ns := j.n, j.ns
+	n := j.n
+	ns := m.state(n)
 	if m.cfg.Trace.Enabled() {
 		m.cfg.Trace.Span(trace.Writeback, n.String(), j.inst.Lane(), res.Start, res.End, nil)
 	}

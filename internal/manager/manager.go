@@ -139,7 +139,6 @@ type Manager struct {
 	qptrs    sched.Queues
 	insts    []*Instance
 	byKind   [accel.NumKinds][]*Instance
-	ns       map[*graph.Node]*nodeState
 	freeAt   sim.Time // manager CPU busy-until
 	horizon  sim.Time // continuous-contention cutoff (0 = run to completion)
 	lastDone sim.Time // completion time of the last finished DAG
@@ -165,9 +164,10 @@ type Manager struct {
 }
 
 // nodeState is per-node forwarding bookkeeping (paper Table III/IV fields).
+// It lives on the node (graph.Node.Ext), so it is freed with its iteration.
 type nodeState struct {
-	inst *Instance // instance whose scratchpad holds the node's output
-	part int
+	inst *Instance // instance whose scratchpad holds the node's output (nil: none)
+	part int       // inst's partition holding it
 	// wbDone / wbInFlight track the output's write-back to main memory.
 	wbDone, wbInFlight bool
 	wbWaiters          []func()
@@ -259,7 +259,6 @@ func newManager(k *sim.Kernel, cfg Config, st *stats.Stats, resumeAt sim.Time) *
 		ic:       xbar.New(k, cfg.Interconnect),
 		st:       st,
 		policy:   cfg.Policy,
-		ns:       make(map[*graph.Node]*nodeState),
 		resumeAt: resumeAt,
 	}
 	if e, ok := cfg.Policy.(sched.Escalator); ok {
@@ -312,15 +311,8 @@ func (m *Manager) DRAMController() *dram.Controller { return m.dram }
 // compute prediction baselines).
 func (m *Manager) Predictor() *predict.Runtime { return m.pred }
 
-// state returns (creating if needed) the manager-side state for a node.
-func (m *Manager) state(n *graph.Node) *nodeState {
-	s, ok := m.ns[n]
-	if !ok {
-		s = &nodeState{part: -1}
-		m.ns[n] = s
-	}
-	return s
-}
+// state returns the manager-side state release attached to a node.
+func (m *Manager) state(n *graph.Node) *nodeState { return n.Ext.(*nodeState) }
 
 // idleCount reports the number of idle (and live) instances of a kind.
 func (m *Manager) idleCount(kind int) int {
@@ -356,14 +348,19 @@ func (m *Manager) RuntimeEstimate(n *graph.Node) sim.Time {
 
 // Submit registers a DAG for release at the given absolute time and assigns
 // its node deadlines under the policy's deadline mode (clones of d inherit
-// them). Everything submitted before the run starts is a statically
+// them). A DAG is submitted once, to one manager: submit a Clone to run it
+// again. Everything submitted before the run starts is a statically
 // scheduled release: its event is derivable from the simulation's inputs,
 // which is what lets a checkpoint skip serializing the event queue
 // (sim.AtReplay).
 func (m *Manager) Submit(d *graph.DAG, release sim.Time) error {
+	if d.Submitted {
+		return fmt.Errorf("manager: %s DAG already submitted; submit a Clone to run it again", d.App)
+	}
 	if err := graph.AssignDeadlines(d, m.policy.DeadlineMode(), m.RuntimeEstimate); err != nil {
 		return err
 	}
+	d.Submitted = true
 	m.st.App(d.App, d.Sym, d.Deadline)
 	if release < m.resumeAt {
 		// Restored run: this DAG completed before the capture instant; its
@@ -379,8 +376,11 @@ func (m *Manager) Submit(d *graph.DAG, release sim.Time) error {
 // horizon, a clone of it is released at that instant as the next iteration.
 // Only d loops; other DAGs of the same application run once.
 func (m *Manager) SubmitLoop(d *graph.DAG, release sim.Time) error {
+	if err := m.Submit(d, release); err != nil {
+		return err
+	}
 	d.Loop = true
-	return m.Submit(d, release)
+	return nil
 }
 
 // SubmitPeriodic releases d every period until the horizon, regardless of
@@ -425,8 +425,10 @@ func (m *Manager) release(d *graph.DAG) {
 	if m.cfg.Trace.Enabled() {
 		m.cfg.Trace.Instant(trace.Release, fmt.Sprintf("%s#%d", d.App, d.Iteration), "manager", d.Release, nil)
 	}
-	for _, n := range d.Nodes {
+	states := make([]nodeState, len(d.Nodes))
+	for i, n := range d.Nodes {
 		n.Deadline = d.Release + n.RelDeadline
+		n.Ext = &states[i]
 	}
 	if m.inj != nil {
 		m.active = append(m.active, d)
@@ -514,12 +516,7 @@ func (m *Manager) launchPass() {
 // colocation opportunity the scheduler tracks (paper §III-B).
 func (m *Manager) pickInstance(kind int, n *graph.Node) *Instance {
 	var fallback, avoided *Instance
-	var avoid *Instance
-	if m.inj != nil {
-		if ns, ok := m.ns[n]; ok {
-			avoid = ns.avoid
-		}
-	}
+	avoid := m.state(n).avoid
 	for _, inst := range m.byKind[kind] {
 		if inst.Busy || inst.Health == accel.Dead {
 			continue
@@ -549,11 +546,8 @@ func (m *Manager) pickInstance(kind int, n *graph.Node) *Instance {
 // outputLive reports whether a node's output still resides in a scratchpad
 // partition.
 func (m *Manager) outputLive(n *graph.Node) bool {
-	s, ok := m.ns[n]
-	if !ok || s.inst == nil || s.part < 0 {
-		return false
-	}
-	return s.inst.Parts[s.part].Node == n
+	s := m.state(n)
+	return s.inst != nil && s.inst.Parts[s.part].Node == n
 }
 
 func (m *Manager) String() string {

@@ -277,16 +277,13 @@ func (m *Manager) abortDAG(d *graph.DAG, reason string) {
 		m.queues[kind] = q
 	}
 	for _, n := range d.Nodes {
-		ns, ok := m.ns[n]
-		if !ok {
-			continue
-		}
+		ns := m.state(n)
 		m.disarmWatchdog(ns)
 		if ns.retryEv != nil {
 			m.k.Cancel(ns.retryEv)
 			ns.retryEv = nil
 		}
-		if ns.inst != nil && ns.part >= 0 && ns.inst.Parts[ns.part].Node == n {
+		if m.outputLive(n) {
 			ns.inst.Parts[ns.part].Node = nil
 		}
 	}

@@ -359,6 +359,8 @@ func (s *System) Err() error { return s.err }
 
 // Submit registers a DAG for release at the given time. The DAG is
 // finalized (compute times filled, graph validated) if it has not been.
+// A DAG is submitted once, to one System: a second submit is an error, so
+// submit d.Clone() to run it again.
 func (s *System) Submit(d *DAG, release Time) error {
 	if err := s.finalize(d); err != nil {
 		return err
@@ -369,7 +371,8 @@ func (s *System) Submit(d *DAG, release Time) error {
 // SubmitLoop registers d for release at the given time and, whenever an
 // iteration finishes before the RunFor horizon, releases a copy of d as the
 // next one (continuous contention). d is the template: it is finalized
-// once, and every iteration has its shape and deadlines.
+// once, and every iteration has its shape and deadlines. As with Submit, d
+// is submitted once; clone it to run it again.
 func (s *System) SubmitLoop(d *DAG, release Time) error {
 	if err := s.finalize(d); err != nil {
 		return err
@@ -380,7 +383,8 @@ func (s *System) SubmitLoop(d *DAG, release Time) error {
 // SubmitPeriodic releases d every period until the horizon — frame-queue
 // arrivals, e.g. a 60 FPS camera pipeline. d is the template: it is
 // finalized once, and each later frame is a copy of it. Run the system
-// with RunFor(horizon).
+// with RunFor(horizon). As with Submit, d is submitted once; clone it to
+// run it again.
 func (s *System) SubmitPeriodic(d *DAG, period, horizon Time) error {
 	if err := s.finalize(d); err != nil {
 		return err
