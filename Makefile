@@ -23,10 +23,13 @@ lint:
 		echo "staticcheck not installed; skipping"; \
 	fi
 
-# Race-detector pass over the short suite (the golden digests and long
-# sweeps are skipped; the parallel sweep harness is the code under test).
+# Race-detector pass, the same two commands scripts/ci.sh runs: the
+# serving, tracing and sweep-client packages run their full suites (their
+# long tests exercise real goroutine fan-out); everything else runs -short
+# (the golden digests and long sweeps are skipped).
 race:
-	$(GO) test -race -short ./...
+	$(GO) test -race ./internal/serve/... ./internal/svctrace/... ./cmd/relief-sweep/...
+	$(GO) test -race -short $$($(GO) list ./... | grep -v -e '^relief/internal/serve' -e '^relief/internal/svctrace' -e '^relief/cmd/relief-sweep')
 
 # Every testing.B target (one per table/figure, plus micro-benchmarks)
 # with allocation stats (slow). Add -cpuprofile/-memprofile/-trace to a

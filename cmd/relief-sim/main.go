@@ -47,7 +47,7 @@ func main() {
 	metricsInterval := flag.Duration("metrics-interval", 0, "probe sampling period in simulated time (0 = 50us default)")
 	period := flag.Duration("period", 0, "periodic release interval in simulated time (0 = off): a fresh instance of each mix app is released every period until -horizon")
 	horizon := flag.Duration("horizon", 0, "periodic/continuous run cutoff in simulated time (0 = 50ms default)")
-	ckptOut := flag.String("checkpoint", "", "warm the periodic scenario and write a relief-ckpt/1 envelope to this file (requires -period; see docs/CHECKPOINT.md)")
+	ckptOut := flag.String("checkpoint", "", "warm the periodic scenario and write a relief-ckpt/2 envelope to this file (requires -period; see docs/CHECKPOINT.md)")
 	warm := flag.Duration("warm", 0, "earliest capture instant for -checkpoint: the snapshot lands at the first quiescent release at or after this")
 	restoreIn := flag.String("restore", "", "resume from a checkpoint envelope instead of a cold start (requires -period and a scenario matching the checkpoint's fork key)")
 	sample := flag.Int("sample", 0, "estimate whole-run statistics from N steady-state sampling windows instead of a full run (requires -period); writes a relief-estimate/1 JSON document to stdout")

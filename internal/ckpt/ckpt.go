@@ -14,7 +14,7 @@ import (
 
 // Schema is the envelope version tag. Bump on any incompatible change to
 // the payload layout.
-const Schema = "relief-ckpt/1"
+const Schema = "relief-ckpt/2"
 
 // Envelope wraps a gob-encoded checkpoint payload with enough metadata to
 // validate it and to decide which runs it can seed.

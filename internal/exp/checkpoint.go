@@ -10,7 +10,7 @@ import (
 
 // RunToCheckpoint warms a periodic scenario and captures its state at the
 // first quiescent release at or after warmAt, returning the sealed
-// relief-ckpt/1 envelope (see internal/ckpt and docs/CHECKPOINT.md). The
+// relief-ckpt/2 envelope (see internal/ckpt and docs/CHECKPOINT.md). The
 // warm run continues draining (cheaply — every remaining release is a
 // no-op) to its horizon; its statistics are discarded. It errors if the
 // workload never quiesces after warmAt — a saturated mix whose iterations

@@ -331,3 +331,28 @@ func TestCheckpointRejectsOtherPlatform(t *testing.T) {
 		t.Errorf("restore across platforms: err=%v, want a fork key mismatch", err)
 	}
 }
+
+// TestCheckpointBytesDeterministic: one warm run writes one envelope. The
+// payload carries Stats.Apps as a name-sorted slice because gob encodes a
+// map in iteration order, which differs from run to run.
+func TestCheckpointBytesDeterministic(t *testing.T) {
+	sc := periodicScenario(t)
+	mix, err := workload.ParseMix("CGL")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Mix, sc.Contention = mix, workload.Contention(len(mix))
+	sc.Period, sc.Horizon = 10*sim.Millisecond, 40*sim.Millisecond
+	var first []byte
+	for i := 0; i < 24; i++ {
+		env, err := RunToCheckpoint(context.Background(), sc, 16*sim.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = env
+		} else if !bytes.Equal(env, first) {
+			t.Fatalf("capture %d differs from capture 0 (%d vs %d bytes)", i, len(env), len(first))
+		}
+	}
+}

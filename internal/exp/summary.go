@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"relief/internal/stats"
 	"relief/internal/workload"
@@ -58,12 +57,7 @@ func WriteSummary(w io.Writer, sc Scenario, st *stats.Stats) error {
 			float64(fs.RecoveryDRAMBytes+fs.RetriedDMABytes)/1e6, fs.MTTR())
 	}
 
-	names := make([]string, 0, len(st.Apps))
-	for n := range st.Apps {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range st.AppNames() {
 		a := st.Apps[n]
 		// A starved app's slowdown is undefined (+Inf): say so instead of
 		// printing a non-number.

@@ -10,8 +10,8 @@ import (
 // peerctxScope lists the networked serving packages in which every
 // outbound HTTP call must be bounded by a per-attempt context deadline.
 // A deadline-free peer call is how one slow replica wedges the whole
-// fleet: probes and forwards must time out and feed the circuit breaker
-// instead of hanging a request goroutine forever.
+// fleet: forwards must time out and feed the circuit breaker instead of
+// hanging a request goroutine forever.
 var peerctxScope = []string{
 	"internal/serve", "cmd/relief-serve", "cmd/relief-sweep",
 }

@@ -45,8 +45,12 @@ type Checkpoint struct {
 	CapturedAt sim.Time
 	// Kernel is the clock and sequence counter.
 	Kernel sim.KernelState
-	// Stats is the full accumulated statistics object.
+	// Stats is the accumulated statistics object, less its Apps map: gob
+	// encodes a map in iteration order, so the map travels as Apps.
 	Stats *stats.Stats
+	// Apps is Stats.Apps sorted by name, so one state encodes to one byte
+	// sequence. Restore rebuilds the map from it.
+	Apps []*stats.AppStats
 	// FreeAt is the manager microcontroller's busy-until time.
 	FreeAt sim.Time
 	// LastDone is the completion time of the last finished DAG.
@@ -145,15 +149,20 @@ func (m *Manager) maybeCapture(d *graph.DAG) bool {
 // capture serializes the quiescent state. The encode happens immediately —
 // by value — so nothing the draining run mutates afterwards can leak in.
 func (m *Manager) capture() ([]byte, error) {
+	st := *m.st
+	st.Apps = nil
 	ck := Checkpoint{
 		CapturedAt: m.k.Now(),
 		Kernel:     m.k.CaptureState(),
-		Stats:      m.st,
+		Stats:      &st,
 		FreeAt:     m.freeAt,
 		LastDone:   m.lastDone,
 		Deaths:     m.deaths,
 		BW:         predict.CaptureBW(m.cfg.BW),
 		Injector:   m.inj.CaptureState(),
+	}
+	for _, name := range m.st.AppNames() {
+		ck.Apps = append(ck.Apps, m.st.Apps[name])
 	}
 	for _, inst := range m.insts {
 		if inst.Busy || inst.dmaBusy || inst.curNode != nil {
@@ -199,6 +208,13 @@ func Restore(k *sim.Kernel, cfg Config, data []byte) (*Manager, *stats.Stats, er
 	}
 	if ck.Stats == nil || ck.CapturedAt <= 0 {
 		return nil, nil, fmt.Errorf("manager: checkpoint has no captured state")
+	}
+	ck.Stats.Apps = make(map[string]*stats.AppStats, len(ck.Apps))
+	for _, a := range ck.Apps {
+		if ck.Stats.Apps[a.App] != nil {
+			return nil, nil, fmt.Errorf("manager: checkpoint lists application %q twice", a.App)
+		}
+		ck.Stats.Apps[a.App] = a
 	}
 	if err := k.RestoreState(ck.Kernel); err != nil {
 		return nil, nil, err

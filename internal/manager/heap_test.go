@@ -14,8 +14,9 @@ import (
 // DAG. Continuous CGL and a periodic CGL mix each run at a short and a ten
 // times longer horizon; the live heap after the long run, with the manager
 // still reachable, may exceed the short run's only by the per-iteration
-// statistics (run times, scheduler costs): about 0.3 MB. Keeping every
-// iteration's node state alive costs about 19 MB.
+// run times, a few KB (measured under 0.03 MB). Keeping one scheduler-cost
+// sample per ready-queue insertion costs about 0.3 MB, and keeping every
+// iteration's node state alive about 19 MB; the bound fails both.
 func TestLongRunHeapStaysFlat(t *testing.T) {
 	mix, err := workload.ParseMix("CGL")
 	if err != nil {
@@ -42,7 +43,7 @@ func TestLongRunHeapStaysFlat(t *testing.T) {
 			return nil
 		}},
 	}
-	const maxGrowth = 2 << 20
+	const maxGrowth = 128 << 10
 	for _, s := range schedules {
 		short := liveHeapAfter(t, s.submit, 100*sim.Millisecond)
 		long := liveHeapAfter(t, s.submit, sim.Second)

@@ -499,7 +499,7 @@ func (m *Manager) complete(n *graph.Node, inst *Instance, part int, computeDur s
 			}
 			for range newlyReady {
 				c := m.cfg.SchedBase + per
-				m.st.SchedCosts = append(m.st.SchedCosts, c)
+				m.st.ObserveSched(c)
 				if m.metSchedCost != nil {
 					m.metSchedCost.Observe(c.Microseconds())
 				}

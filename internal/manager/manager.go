@@ -459,7 +459,7 @@ func (m *Manager) insertPlain(n *graph.Node) sim.Time {
 	n.IsFwd = false
 	n.State = graph.Ready
 	cost := m.cfg.SchedBase + m.cfg.SchedPerScan*sim.Time(scanned)
-	m.st.SchedCosts = append(m.st.SchedCosts, cost)
+	m.st.ObserveSched(cost)
 	if m.metSchedCost != nil {
 		m.metSchedCost.Observe(cost.Microseconds())
 	}

@@ -124,7 +124,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		Histograms:      make(map[string]histJSON, len(r.hists)),
 	}
 	for _, m := range r.metrics {
-		doc.Metrics[m.name] = m.value()
+		doc.Metrics[m.name] = m.fn()
 	}
 	for _, h := range r.hists {
 		doc.Histograms[h.name] = histJSON{
@@ -163,7 +163,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", fam, m.help, fam, typ)
 		}
-		fmt.Fprintf(&b, "%s %s\n", m.name, fmtFloat(m.value()))
+		fmt.Fprintf(&b, "%s %s\n", m.name, fmtFloat(m.fn()))
 	}
 	for _, h := range r.sortedHists() {
 		fam := familyOf(h.name)

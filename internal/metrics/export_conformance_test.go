@@ -43,8 +43,8 @@ func TestLabelHelper(t *testing.T) {
 func TestPrometheusLabelEscapingGolden(t *testing.T) {
 	r := NewRegistry()
 	hostile := "http://pe\"er\\8080\nx"
-	c := r.Counter(Label("relief_peer_hits_total", "peer", hostile), "peer cache hits")
-	c.Add(2)
+	r.CounterFunc(Label("relief_peer_hits_total", "peer", hostile), "peer cache hits",
+		func() float64 { return 2 })
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

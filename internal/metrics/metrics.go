@@ -27,49 +27,13 @@ import (
 // configured.
 const DefaultProbeInterval = 50 * sim.Microsecond
 
-// metric is one registered counter or gauge: either func-backed (fn reads
-// live simulator state at sample/export time) or value-backed (val is
-// updated through Counter/Gauge handles).
+// metric is one registered counter or gauge, read from fn at sample and
+// export time.
 type metric struct {
 	name    string
 	help    string
 	counter bool // Prometheus TYPE: counter vs gauge
 	fn      func() float64
-	val     float64
-}
-
-func (m *metric) value() float64 {
-	if m.fn != nil {
-		return m.fn()
-	}
-	return m.val
-}
-
-// Counter is a monotonically increasing value-backed metric. Methods are
-// no-ops on a nil receiver.
-type Counter struct{ m *metric }
-
-// Add increases the counter. Negative deltas are ignored.
-func (c *Counter) Add(v float64) {
-	if c == nil || v < 0 {
-		return
-	}
-	c.m.val += v
-}
-
-// Inc increases the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Gauge is a settable value-backed metric. Methods are no-ops on a nil
-// receiver.
-type Gauge struct{ m *metric }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.m.val = v
 }
 
 // Registry holds the metric set of one simulation, the probe time series,
@@ -132,35 +96,19 @@ func (r *Registry) Policy() string {
 	return r.policy
 }
 
-// register adds (or returns the existing) counter/gauge metric under name.
-// Re-registering a name with a different shape is a programmer error.
-func (r *Registry) register(name, help string, counter bool, fn func() float64) *metric {
+// register adds a counter/gauge metric under name; re-registering a name
+// keeps the first registration. Re-registering a counter as a gauge (or
+// the reverse) is a programmer error.
+func (r *Registry) register(name, help string, counter bool, fn func() float64) {
 	if m, ok := r.byName[name]; ok {
-		if m.counter != counter || (m.fn == nil) != (fn == nil) {
+		if m.counter != counter {
 			panic(fmt.Sprintf("metrics: %s re-registered with a different shape", name))
 		}
-		return m
+		return
 	}
 	m := &metric{name: name, help: help, counter: counter, fn: fn}
 	r.metrics = append(r.metrics, m)
 	r.byName[name] = m
-	return m
-}
-
-// Counter registers (or fetches) a value-backed counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
-	return &Counter{m: r.register(name, help, true, nil)}
-}
-
-// Gauge registers (or fetches) a value-backed gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return &Gauge{m: r.register(name, help, false, nil)}
 }
 
 // CounterFunc registers a cumulative metric read from fn at sample and
@@ -303,7 +251,7 @@ func (r *Registry) sample(now sim.Time) {
 	}
 	row := make([]float64, len(r.cols))
 	for i, m := range r.cols {
-		row[i] = m.value()
+		row[i] = m.fn()
 	}
 	r.times = append(r.times, now)
 	r.rows = append(r.rows, row)

@@ -15,8 +15,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 		t.Fatal("nil registry must report disabled")
 	}
 	r.SetPolicy("X")
-	r.Counter("c", "").Inc()
-	r.Gauge("g", "").Set(3)
 	r.CounterFunc("cf", "", func() float64 { return 1 })
 	r.GaugeFunc("gf", "", func() float64 { return 1 })
 	r.Histogram("h", "").Observe(5)
@@ -30,13 +28,11 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 
 func TestCounterGaugeSemantics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("relief_c", "help")
-	c.Inc()
-	c.Add(4)
-	c.Add(-10) // ignored: counters are monotonic
-	g := r.Gauge("relief_g", "help")
-	g.Set(7)
-	g.Set(2.5)
+	var c, g float64
+	r.CounterFunc("relief_c", "help", func() float64 { return c })
+	r.GaugeFunc("relief_g", "help", func() float64 { return g })
+	// Exports read the live values, not those at registration.
+	c, g = 5, 2.5
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -52,13 +48,14 @@ func TestCounterGaugeSemantics(t *testing.T) {
 
 func TestRegisterShapeMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("m", "")
+	one := func() float64 { return 1 }
+	r.CounterFunc("m", "", one)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("re-registering a counter as a gauge must panic")
 		}
 	}()
-	r.Gauge("m", "")
+	r.GaugeFunc("m", "", one)
 }
 
 func TestHistogramQuantiles(t *testing.T) {
@@ -152,7 +149,7 @@ func TestCSVShape(t *testing.T) {
 func TestJSONSummary(t *testing.T) {
 	r := NewRegistry()
 	r.SetPolicy("RELIEF")
-	r.Counter("relief_c", "").Add(3)
+	r.CounterFunc("relief_c", "", func() float64 { return 3 })
 	r.ObserveNodeLatency("canny", 10, 20, 30, 40, 0)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -185,7 +182,7 @@ func TestJSONSummary(t *testing.T) {
 
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("relief_nodes_total", "nodes done").Add(7)
+	r.CounterFunc("relief_nodes_total", "nodes done", func() float64 { return 7 })
 	r.GaugeFunc("relief_q{kind=\"isp\"}", "queue", func() float64 { return 2 })
 	r.GaugeFunc("relief_q{kind=\"conv\"}", "queue", func() float64 { return 3 })
 	h := r.Histogram("relief_lat_us", "latency")

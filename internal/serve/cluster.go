@@ -112,21 +112,22 @@ func (s *Server) ConfigureCluster(self string, peers []string) {
 }
 
 // forward re-posts the normalized request to its owner with a per-attempt
-// deadline (the simulation budget plus margin) and returns the owner's raw
-// 200 response body for relaying. A transport error or 5xx is a failure;
-// any other refusal (a full queue's 429) is healthy — in every non-OK
-// case the caller degrades to local execution, so a peer going down costs
+// deadline (the simulation budget plus margin) and returns the owner's
+// decoded result with its raw envelope for relaying. A transport error, a
+// 5xx, or a 200 whose body is not a result envelope is a failure; any
+// other refusal (a full queue's 429) is healthy — in every non-OK case the
+// caller degrades to local execution, so a peer going down costs
 // duplicated work, never a failed request.
-func (c *cluster) forward(owner string, req Request, traceID string) ([]byte, peerOutcome) {
+func (c *cluster) forward(owner string, req Request, traceID string) (*Result, []byte, peerOutcome) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, peerMiss // our bug, not the peer's: no breaker penalty
+		return nil, nil, peerMiss // our bug, not the peer's: no breaker penalty
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), c.fwdTTL)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, owner+"/run", bytes.NewReader(body))
 	if err != nil {
-		return nil, peerMiss
+		return nil, nil, peerMiss
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	hreq.Header.Set(forwardHeader, "1")
@@ -135,31 +136,35 @@ func (c *cluster) forward(owner string, req Request, traceID string) ([]byte, pe
 	}
 	resp, err := c.client.Do(hreq)
 	if err != nil {
-		return nil, peerFail
+		return nil, nil, peerFail
 	}
 	defer resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusOK:
 		b, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 		if err != nil {
-			return nil, peerFail
+			return nil, nil, peerFail
 		}
-		return b, peerOK
+		var env response
+		if err := json.Unmarshal(b, &env); err != nil || env.Result == nil {
+			return nil, nil, peerFail
+		}
+		return env.Result, b, peerOK
 	case resp.StatusCode >= 500:
-		return nil, peerFail
+		return nil, nil, peerFail
 	default:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, peerMiss
+		return nil, nil, peerMiss
 	}
 }
 
 // routeToOwner runs the peer leg of the decision ladder for a digest owned
-// elsewhere: breaker gate, then owner forward. It returns the owner's raw
-// relayed envelope, or nil — the caller falls back to local execution. The
-// owner's /run answers from its cache before admission, so one forward
-// covers both a fleet-cached result and a cold one. An open breaker skips
-// the network entirely.
-func (s *Server) routeToOwner(tr *svctrace.Trace, cl *cluster, owner, key string, req Request) []byte {
+// elsewhere: breaker gate, then owner forward. It returns the owner's
+// result and raw envelope, or a nil result — the caller falls back to
+// local execution. The owner's /run answers from its cache before
+// admission, so one forward covers both a fleet-cached result and a cold
+// one. An open breaker skips the network entirely.
+func (s *Server) routeToOwner(tr *svctrace.Trace, cl *cluster, owner, key string, req Request) (*Result, []byte) {
 	pc := s.svc.peer(owner)
 	h := cl.health[owner]
 	if h != nil && !h.allow() {
@@ -169,12 +174,12 @@ func (s *Server) routeToOwner(tr *svctrace.Trace, cl *cluster, owner, key string
 		sp.Event("state", breakerStateName(h.stateG.Load()))
 		s.endSpan(stageBreaker, sp)
 		pc.fastFails.Add(1)
-		return nil
+		return nil, nil
 	}
 	sp := tr.StartSpan(stageForward)
 	sp.Set("peer", owner)
 	sp.Set("digest", key)
-	relay, o := cl.forward(owner, req, tr.ID())
+	res, relay, o := cl.forward(owner, req, tr.ID())
 	if h != nil {
 		if o == peerFail {
 			h.failure()
@@ -186,10 +191,10 @@ func (s *Server) routeToOwner(tr *svctrace.Trace, cl *cluster, owner, key string
 	s.endSpan(stageForward, sp)
 	if o != peerOK {
 		pc.forwardErrors.Add(1)
-		return nil
+		return nil, nil
 	}
 	pc.forwarded.Add(1)
-	return relay
+	return res, relay
 }
 
 // maxResponseBytes bounds relayed peer responses (metrics documents for

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -211,6 +212,23 @@ func TestNonOwnedRunOnePeerRequest(t *testing.T) {
 	}
 }
 
+// peerOwnedBody returns a /run body whose digest the ring places on peer
+// (about half of all digests in a two-member fleet).
+func peerOwnedBody(t *testing.T, s *Server, peer string) string {
+	t.Helper()
+	for _, mix := range []string{
+		`{"mix":"C"}`, `{"mix":"D"}`, `{"mix":"G"}`, `{"mix":"H"}`, `{"mix":"L"}`,
+		`{"mix":"CD"}`, `{"mix":"CG"}`, `{"mix":"CH"}`, `{"mix":"CL"}`, `{"mix":"DG"}`,
+		`{"mix":"DH"}`, `{"mix":"DL"}`, `{"mix":"GH"}`, `{"mix":"GL"}`, `{"mix":"HL"}`,
+	} {
+		if _, owner := digestOwner(t, s, mix); owner == peer {
+			return mix
+		}
+	}
+	t.Fatalf("no candidate scenario hashed onto peer %s", peer)
+	return ""
+}
+
 // TestPeerDownFallsBackLocally: when a digest's owner is unreachable, the
 // request must still succeed — the forward fails and the replica simulates
 // locally. A dead peer costs duplicated work, never an error.
@@ -222,22 +240,7 @@ func TestPeerDownFallsBackLocally(t *testing.T) {
 	defer ts.Close()
 	s.ConfigureCluster(ts.URL, []string{deadPeer})
 
-	// Find a scenario the dead peer owns (about half of all digests).
-	body := ""
-	for _, mix := range []string{
-		`{"mix":"C"}`, `{"mix":"D"}`, `{"mix":"G"}`, `{"mix":"H"}`, `{"mix":"L"}`,
-		`{"mix":"CD"}`, `{"mix":"CG"}`, `{"mix":"CH"}`, `{"mix":"CL"}`, `{"mix":"DG"}`,
-		`{"mix":"DH"}`, `{"mix":"DL"}`, `{"mix":"GH"}`, `{"mix":"GL"}`, `{"mix":"HL"}`,
-	} {
-		if _, owner := digestOwner(t, s, mix); owner == deadPeer {
-			body = mix
-			break
-		}
-	}
-	if body == "" {
-		t.Fatal("no candidate scenario hashed onto the dead peer")
-	}
-
+	body := peerOwnedBody(t, s, deadPeer)
 	resp, b := post(t, ts.URL, body)
 	src, _ := decodeEnvelope(t, b)
 	if resp.StatusCode != http.StatusOK || src != srcRun {
@@ -306,5 +309,93 @@ func TestForwardedRequestNeverReforwards(t *testing.T) {
 	}
 	if targetExecs.Load() != 1 || otherExecs.Load() != 0 {
 		t.Errorf("execs target=%d other=%d, want 1/0 (no re-forwarding)", targetExecs.Load(), otherExecs.Load())
+	}
+}
+
+// TestGarbledOwnerFallsBackLocally: an owner that answers 200 with a body
+// that is not a result envelope (a misconfigured proxy's HTML page) is a
+// failed forward — the replica simulates locally and answers with its own
+// envelope, and the failure feeds the owner's breaker and forward-error
+// counter. The client never sees the garbage.
+func TestGarbledOwnerFallsBackLocally(t *testing.T) {
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/html")
+		io.WriteString(w, "<html>proxy error</html>")
+	}))
+	defer peer.Close()
+	var execs atomic.Int32
+	s := New(Config{Workers: 1, Runner: countingStub(&execs)})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	s.ConfigureCluster(ts.URL, []string{peer.URL})
+
+	resp, b := post(t, ts.URL, peerOwnedBody(t, s, peer.URL))
+	src, _ := decodeEnvelope(t, b)
+	if resp.StatusCode != http.StatusOK || src != srcRun {
+		t.Fatalf("garbled-owner request: status=%d source=%q body=%s", resp.StatusCode, src, b)
+	}
+	if got := resp.Header.Get(servedByHeader); got != "" {
+		t.Errorf("%s = %q on a locally simulated answer", servedByHeader, got)
+	}
+	if execs.Load() != 1 {
+		t.Errorf("local fallback executed %d simulations, want 1", execs.Load())
+	}
+	pc := s.svc.peer(peer.URL)
+	if pc.forwarded.Load() != 0 || pc.forwardErrors.Load() != 1 {
+		t.Errorf("garbled peer counters: forwarded=%d forward_errors=%d, want 0/1",
+			pc.forwarded.Load(), pc.forwardErrors.Load())
+	}
+	h := s.cluster.health[peer.URL]
+	h.mu.Lock()
+	fails := h.fails
+	h.mu.Unlock()
+	if fails != 1 {
+		t.Errorf("breaker failure streak = %d, want 1", fails)
+	}
+}
+
+// TestDrainingCellAnswersOnlyFromCache: /run and sweep cells share one
+// drain rule — a draining replica answers from its cache and refuses
+// everything else with errDraining, without forwarding to the owner.
+func TestDrainingCellAnswersOnlyFromCache(t *testing.T) {
+	var peerReqs atomic.Int32
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		peerReqs.Add(1)
+		http.Error(w, "unexpected peer request", http.StatusInternalServerError)
+	}))
+	defer peer.Close()
+	var execs atomic.Int32
+	s := New(Config{Workers: 1, Runner: countingStub(&execs)})
+	s.ConfigureCluster("http://self.invalid", []string{peer.URL})
+
+	cellReq := func(body string) (Request, string) {
+		var req Request
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		if err := req.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		return req, req.Digest()
+	}
+	cold, coldKey := cellReq(peerOwnedBody(t, s, peer.URL))
+	warm, warmKey := cellReq(`{"mix":"CDL"}`)
+	s.storeResult(warmKey, &Result{Digest: warmKey, Text: "cached"})
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := s.resolve(context.Background(), nil, cold, coldKey, false, true); !errors.Is(err, errDraining) {
+		t.Errorf("uncached cell while draining: err = %v, want errDraining", err)
+	}
+	if n := peerReqs.Load(); n != 0 {
+		t.Errorf("draining replica made %d peer requests, want 0", n)
+	}
+	ans, err := s.resolve(context.Background(), nil, warm, warmKey, false, true)
+	if err != nil || ans.src != srcCache || ans.res.Text != "cached" {
+		t.Errorf("cached cell while draining: src=%q err=%v, want a cache answer", ans.src, err)
+	}
+	if execs.Load() != 0 {
+		t.Errorf("draining replica executed %d simulations, want 0", execs.Load())
 	}
 }

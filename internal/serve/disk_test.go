@@ -202,7 +202,7 @@ func TestEvictionRemovesSpillFile(t *testing.T) {
 		}
 		key := req.Digest()
 		keys = append(keys, key)
-		if _, _, err := s.executeCell(context.Background(), req, key); err != nil {
+		if _, err := s.resolve(context.Background(), nil, req, key, false, true); err != nil {
 			t.Fatal(err)
 		}
 	}

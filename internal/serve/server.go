@@ -393,99 +393,121 @@ var (
 	errBusy     = errors.New("serve: admission queue full")
 )
 
-// handleRun admits, deduplicates, cache-serves, or (cluster mode) routes
-// one simulation request to the digest's ring owner. Every request runs
-// under a trace (joined from X-Relief-Trace or freshly minted) whose spans
-// record each rung of the ladder.
+// answer is one resolved request: the result and its source, plus — for a
+// forwarded answer — the owner's raw envelope and base URL, which /run
+// relays verbatim.
+type answer struct {
+	res   *Result
+	src   string
+	relay []byte
+	owner string
+}
+
+// handleRun answers one simulation request through resolve. Every request
+// runs under a trace (joined from X-Relief-Trace or freshly minted) whose
+// spans record each rung of the ladder.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	tr := s.beginTrace(w, r)
 	defer s.finishTrace(tr, "/run")
-	key := ""
-	fail := func(status int, err error) {
-		tr.SetResult(key, "", status)
-		s.writeError(w, status, err)
-	}
-	serve := func(env response) {
-		env.TraceID = tr.ID()
-		tr.SetResult(key, env.Source, http.StatusOK)
-		s.writeJSON(w, http.StatusOK, env)
-	}
-
 	var req Request
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
-		fail(http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	err := decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), &req)
+	if err != nil {
+		err = fmt.Errorf("decoding request: %w", err)
+	} else {
+		err = req.Normalize()
+	}
+	if err != nil {
+		tr.SetResult("", "", http.StatusBadRequest)
+		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := req.Normalize(); err != nil {
-		fail(http.StatusBadRequest, err)
-		return
-	}
-	key = req.Digest()
+	key := req.Digest()
 	s.svc.requests.Add(1)
 
+	ans, err := s.resolve(r.Context(), tr, req, key, r.Header.Get(forwardHeader) != "", false)
+	switch {
+	case err != nil && r.Context().Err() != nil:
+		// Client gone: nothing left to send.
+		tr.SetResult(key, "", 499) // nginx's "client closed request"
+	case err != nil:
+		status := errStatus(err)
+		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+			s.setRetryAfter(w)
+		}
+		tr.SetResult(key, "", status)
+		s.writeError(w, status, err)
+	case ans.relay != nil:
+		// The relayed envelope already carries the shared trace ID: the
+		// owner served this request under the ID we forwarded.
+		tr.SetResult(key, srcForward, http.StatusOK)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set(servedByHeader, ans.owner)
+		w.WriteHeader(http.StatusOK)
+		if _, err := w.Write(ans.relay); err != nil {
+			// Client gone mid-relay; nothing left to send.
+			return
+		}
+	default:
+		tr.SetResult(key, ans.src, http.StatusOK)
+		s.writeJSON(w, http.StatusOK, response{
+			Cached: ans.src != srcRun, Source: ans.src, TraceID: tr.ID(), Result: ans.res,
+		})
+	}
+}
+
+// resolve answers one normalized request through the decision ladder that
+// /run and every /sweep cell share: local cache (memory, then spill), the
+// drain gate, the ring owner (cluster mode, unless the request was already
+// forwarded once), then local simulation through the singleflight queue.
+// A draining replica still answers from its cache and refuses everything
+// else with errDraining. block selects admission on a full queue (see
+// submit). Spans for every rung land on tr (nil = untraced).
+func (s *Server) resolve(ctx context.Context, tr *svctrace.Trace, req Request, key string, forwarded, block bool) (answer, error) {
 	// Cache first, even while draining: handing out a finished result costs
 	// nothing and spares the fleet a re-simulation.
 	if res, src, ok := s.cachedResult(tr, key); ok {
 		s.svc.hits.Add(1)
-		serve(response{Cached: true, Source: src, Result: res})
-		return
+		return answer{res: res, src: src}, nil
 	}
 	s.mu.Lock()
 	draining, cl := s.draining, s.cluster
 	s.mu.Unlock()
 	if draining {
-		s.setRetryAfter(w)
-		fail(http.StatusServiceUnavailable, errDraining)
-		return
+		return answer{}, errDraining
 	}
 
 	// Cluster mode: a digest owned elsewhere is answered by its owner, from
 	// its cache or by simulating there, so a result computed anywhere in the
-	// fleet is never re-simulated. An unreachable owner (or one behind an
-	// open circuit breaker) degrades to local execution below.
-	if cl != nil && r.Header.Get(forwardHeader) == "" {
+	// fleet is never re-simulated. An unreachable or misbehaving owner (or
+	// one behind an open circuit breaker) degrades to local execution below.
+	if cl != nil && !forwarded {
 		if owner := cl.ring.owner(key); owner != cl.self {
-			if relay := s.routeToOwner(tr, cl, owner, key, req); relay != nil {
-				// The relayed envelope already carries the shared trace ID:
-				// the owner served this request under the ID we forwarded.
-				tr.SetResult(key, srcForward, http.StatusOK)
-				w.Header().Set("Content-Type", "application/json")
-				w.Header().Set(servedByHeader, owner)
-				w.WriteHeader(http.StatusOK)
-				if _, err := w.Write(relay); err != nil {
-					// Client gone mid-relay; nothing left to send.
-					return
-				}
-				return
+			if res, relay := s.routeToOwner(tr, cl, owner, key, req); res != nil {
+				return answer{res: res, src: srcForward, relay: relay, owner: owner}, nil
 			}
 		}
 	}
 
-	res, fl, err := s.submit(r.Context(), req, key, false)
+	res, fl, err := s.submit(ctx, req, key, block)
 	switch {
 	case err != nil:
-		s.setRetryAfter(w)
-		fail(errStatus(err), err)
-		return
-	case res != nil: // cache hit raced in between the fast path and submit
+		return answer{}, err
+	case res != nil: // cache hit raced in between the first rung and submit
 		s.svc.hits.Add(1)
-		serve(response{Cached: true, Source: srcCache, Result: res})
-		return
+		return answer{res: res, src: srcCache}, nil
 	}
-
 	select {
 	case <-fl.done:
 		attachFlightSpans(tr, fl)
 		if fl.err != nil {
-			fail(errStatus(fl.err), fl.err)
-			return
+			return answer{}, fl.err
 		}
-		serve(response{Cached: false, Source: srcRun, Result: fl.res})
-	case <-r.Context().Done():
-		// Client gone: release our claim; the last departing waiter
-		// cancels the simulation so an abandoned run stops mid-flight.
-		tr.SetResult(key, "", 499) // nginx's "client closed request"
+		return answer{res: fl.res, src: srcRun}, nil
+	case <-ctx.Done():
+		// Caller gone: release our claim; the last departing waiter cancels
+		// the simulation so an abandoned run stops mid-flight.
 		s.abandon(fl)
+		return answer{}, ctx.Err()
 	}
 }
 
@@ -584,52 +606,6 @@ func (s *Server) abandon(fl *flight) {
 	s.mu.Unlock()
 	if last {
 		fl.cancel()
-	}
-}
-
-// executeCell answers one sweep cell through the same decision ladder as
-// handleRun — local cache, breaker gate, owner forward, local simulation
-// (blocking admission) — and reports where the answer came from.
-func (s *Server) executeCell(ctx context.Context, req Request, key string) (*Result, string, error) {
-	tr := traceFrom(ctx) // the sweep coordinator's trace; cell spans carry digest attrs
-	if res, src, ok := s.cachedResult(tr, key); ok {
-		s.svc.hits.Add(1)
-		return res, src, nil
-	}
-	s.mu.Lock()
-	cl := s.cluster
-	s.mu.Unlock()
-
-	if cl != nil {
-		if owner := cl.ring.owner(key); owner != cl.self {
-			if relay := s.routeToOwner(tr, cl, owner, key, req); relay != nil {
-				var env response
-				if err := json.Unmarshal(relay, &env); err == nil && env.Result != nil {
-					return env.Result, srcForward, nil
-				}
-				// Unparseable relay: fall through to local execution.
-			}
-		}
-	}
-
-	res, fl, err := s.submit(ctx, req, key, true)
-	switch {
-	case err != nil:
-		return nil, "", err
-	case res != nil:
-		s.svc.hits.Add(1)
-		return res, srcCache, nil
-	}
-	select {
-	case <-fl.done:
-		attachFlightSpans(tr, fl)
-		if fl.err != nil {
-			return nil, "", fl.err
-		}
-		return fl.res, srcRun, nil
-	case <-ctx.Done():
-		s.abandon(fl)
-		return nil, "", ctx.Err()
 	}
 }
 

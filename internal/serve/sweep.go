@@ -197,12 +197,12 @@ type sweepTrailer struct {
 	Errors int  `json:"errors"`
 }
 
-// handleSweep expands a grid spec and executes every cell through the
-// /run decision ladder (cache → peer probe → owner forward → local
-// simulation), so in cluster mode the grid fans out across the fleet by
-// ring ownership and each scenario is computed once fleet-wide. Responses
-// either stream per-cell NDJSON or return one merged document identical to
-// a single-process sweep dump.
+// handleSweep expands a grid spec and answers every cell through resolve,
+// the /run decision ladder (cache → drain gate → owner forward → local
+// simulation) with blocking admission, so in cluster mode the grid fans
+// out across the fleet by ring ownership and each scenario is computed
+// once fleet-wide. Responses either stream per-cell NDJSON or return one
+// merged document identical to a single-process sweep dump.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	tr := s.beginTrace(w, r)
 	defer s.finishTrace(tr, "/sweep")
@@ -248,14 +248,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	type outcome struct {
 		index  int
 		digest string
-		source string
-		res    *Result
-		err    error
+		answer
+		err error
 	}
-	// Every cell records its spans (cache/disk/probe/forward/admission/run,
-	// digest-attributed) into the sweep's one trace, so a slow sweep can be
-	// decomposed cell by cell from GET /trace/{id}.
-	ctx := withTrace(r.Context(), tr)
+	// Every cell records its spans (cache/disk/breaker/forward/admission/
+	// run, digest-attributed) into the sweep's one trace, so a slow sweep can
+	// be decomposed cell by cell from GET /trace/{id}.
 	outCh := make(chan outcome)
 	sem := make(chan struct{}, parallel)
 	go func() {
@@ -266,8 +264,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			go func(i int, c sweepCell) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				res, src, err := s.executeCell(ctx, c.Request, c.Digest)
-				outCh <- outcome{index: i, digest: c.Digest, source: src, res: res, err: err}
+				ans, err := s.resolve(r.Context(), tr, c.Request, c.Digest, false, true)
+				outCh <- outcome{index: i, digest: c.Digest, answer: ans, err: err}
 			}(i, c)
 		}
 		wg.Wait()
@@ -286,12 +284,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if err := enc.Encode(sweepHeader{Schema: SweepSchema, Cells: len(cells)}); err != nil {
-			return // client gone; executeCell drains via ctx
+			return // client gone; resolve drains via the request context
 		}
 		flush()
 		var ok, failed int
 		for o := range outCh {
-			line := sweepLine{Index: o.index, Digest: o.digest, Source: o.source}
+			line := sweepLine{Index: o.index, Digest: o.digest, Source: o.src}
 			if o.err != nil {
 				line.Error = o.err.Error()
 				failed++

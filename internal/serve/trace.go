@@ -32,25 +32,10 @@ const (
 // kernel runs.
 var stageBounds = []float64{0.1, 0.5, 1, 5, 10, 50, 100, 500, 1000, 5000, 10000, 30000}
 
-// traceCtxKey carries the request's *svctrace.Trace through handler and
-// sweep-cell contexts.
-type traceCtxKey struct{}
-
 // recCtxKey carries a kernel event recorder into runSimulation for
-// requests with "trace": true.
+// requests with "trace": true. It rides the context because the runner is
+// the Config.Runner seam, whose signature carries no trace.
 type recCtxKey struct{}
-
-func withTrace(ctx context.Context, tr *svctrace.Trace) context.Context {
-	if tr == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, traceCtxKey{}, tr)
-}
-
-func traceFrom(ctx context.Context) *svctrace.Trace {
-	tr, _ := ctx.Value(traceCtxKey{}).(*svctrace.Trace)
-	return tr
-}
 
 func withRecorder(ctx context.Context, rec *trace.Recorder) context.Context {
 	if rec == nil {
@@ -70,7 +55,7 @@ const maxKernelEvents = 20000
 
 // beginTrace starts (or joins) the request's trace: a valid X-Relief-Trace
 // header ID is adopted — that is the propagation contract that stitches
-// probe, forward, and sweep legs on different replicas into one distributed
+// forward and sweep legs on different replicas into one distributed
 // trace — anything else gets a freshly minted ID. The ID is echoed on the
 // response so clients always learn it.
 func (s *Server) beginTrace(w http.ResponseWriter, r *http.Request) *svctrace.Trace {

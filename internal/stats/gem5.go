@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // WriteGem5Style dumps the metric sink in gem5's stats.txt format —
@@ -49,12 +48,7 @@ func (s *Stats) WriteGem5Style(w io.Writer) error {
 		{"system.sched.tail_latency", num(tail.Seconds()), "Max scheduler insertion cost (s)"},
 		{"system.interconnect.occupancy", num(s.InterconnectOccupancy), "Interconnect busy fraction"},
 	}
-	names := make([]string, 0, len(s.Apps))
-	for n := range s.Apps {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range s.AppNames() {
 		a := s.Apps[n]
 		prefix := "system.app." + n
 		// A starved application has no finished iteration, so its slowdown

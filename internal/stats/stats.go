@@ -128,9 +128,12 @@ type Stats struct {
 	EventsFired uint64
 	EventAllocs uint64
 
-	// Scheduler latency samples (modeled microcontroller cost per
-	// ready-queue operation).
-	SchedCosts []sim.Time
+	// Scheduler latency (modeled microcontroller cost per ready-queue
+	// operation): sample count, integer sum and maximum, recorded by
+	// ObserveSched. Constant size however long the run.
+	SchedOps int
+	SchedSum sim.Time
+	SchedMax sim.Time
 
 	// Predictor error accounting.
 	PredErr PredErr
@@ -264,6 +267,16 @@ func (s *Stats) App(app, sym string, deadline sim.Time) *AppStats {
 	return a
 }
 
+// AppNames returns the application names in sorted order.
+func (s *Stats) AppNames() []string {
+	names := make([]string, 0, len(s.Apps))
+	for name := range s.Apps {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // RecordEdge classifies one producer/consumer edge.
 func (s *Stats) RecordEdge(app *AppStats, kind EdgeKind) {
 	s.Edges++
@@ -339,20 +352,22 @@ func (s *Stats) DAGDeadlinePct() float64 {
 	return 100 * float64(met) / float64(total)
 }
 
+// ObserveSched records one ready-queue operation's modeled scheduler cost.
+func (s *Stats) ObserveSched(c sim.Time) {
+	s.SchedOps++
+	s.SchedSum += c
+	if c > s.SchedMax {
+		s.SchedMax = c
+	}
+}
+
 // SchedLatency returns the average and maximum modeled scheduler cost
 // (Fig. 12: average and tail latency).
 func (s *Stats) SchedLatency() (avg, tail sim.Time) {
-	if len(s.SchedCosts) == 0 {
+	if s.SchedOps == 0 {
 		return 0, 0
 	}
-	var sum sim.Time
-	for _, c := range s.SchedCosts {
-		sum += c
-		if c > tail {
-			tail = c
-		}
-	}
-	return sum / sim.Time(len(s.SchedCosts)), tail
+	return s.SchedSum / sim.Time(s.SchedOps), s.SchedMax
 }
 
 // SlowdownGeomean returns the geometric mean of per-application slowdowns
@@ -364,13 +379,8 @@ func (s *Stats) SchedLatency() (avg, tail sim.Time) {
 // visible. With no finished application at all the geomean is 0 (and
 // starved equals the application count).
 func (s *Stats) SlowdownGeomean() (geo float64, starved int) {
-	names := make([]string, 0, len(s.Apps))
-	for name := range s.Apps {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	logSum, n := 0.0, 0
-	for _, name := range names {
+	for _, name := range s.AppNames() {
 		sl, ok := s.Apps[name].FiniteSlowdown()
 		if !ok {
 			starved++

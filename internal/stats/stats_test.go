@@ -112,7 +112,9 @@ func TestSchedLatency(t *testing.T) {
 	if avg, tail := s.SchedLatency(); avg != 0 || tail != 0 {
 		t.Fatal("empty latency must be zero")
 	}
-	s.SchedCosts = []sim.Time{100, 200, 600}
+	for _, c := range []sim.Time{100, 200, 600} {
+		s.ObserveSched(c)
+	}
 	avg, tail := s.SchedLatency()
 	if avg != 300 || tail != 600 {
 		t.Fatalf("SchedLatency = (%v, %v), want (300, 600)", avg, tail)
@@ -295,7 +297,8 @@ func TestWriteGem5Style(t *testing.T) {
 	s.DRAMReadBytes = 200
 	s.NodesDone = 20
 	s.NodesMetDeadline = 18
-	s.SchedCosts = []sim.Time{100, 300}
+	s.ObserveSched(100)
+	s.ObserveSched(300)
 	a := s.App("gru", "G", 7*sim.Millisecond)
 	a.Iterations = 2
 	a.DeadlinesMet = 1

@@ -1,9 +1,9 @@
 // Package svctrace is request-scoped distributed tracing for the serving
 // fleet: every inbound request gets a trace ID that rides the
-// X-Relief-Trace header across peer probes, owner forwards, and sweep
-// fan-out, and every pipeline stage (admission wait, cache lookup, disk
-// read, peer probe, breaker fast-fail, forward, local kernel run, NDJSON
-// streaming) records a wall-clock span against it.
+// X-Relief-Trace header across owner forwards and sweep fan-out, and every
+// pipeline stage (admission wait, cache lookup, disk read, breaker
+// fast-fail, forward, local kernel run, NDJSON streaming) records a
+// wall-clock span against it.
 //
 // This is the same per-stage latency attribution the simulator applies to
 // accelerator jobs (internal/metrics), turned on the serving stack itself —

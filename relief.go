@@ -469,7 +469,7 @@ func (s *System) mustRunOnce() {
 	s.ran = true
 }
 
-// Checkpoint returns the sealed relief-ckpt/1 envelope captured during the
+// Checkpoint returns the sealed relief-ckpt/2 envelope captured during the
 // run (the system must have been built with WithCheckpoint and run to
 // completion). It errors if no capture happened — the workload never
 // quiesced after the arm instant. Restore with RunFrom.

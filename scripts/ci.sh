@@ -130,7 +130,7 @@ echo "== checkpoint smoke"
 go build -o "$tmp/relief-sim" ./cmd/relief-sim
 "$tmp/relief-sim" -mix CG -period 5ms -horizon 20ms -warm 8ms -checkpoint "$tmp/warm.ckpt" >"$tmp/ckpt.log"
 grep -q '^checkpoint: *captured at ' "$tmp/ckpt.log"
-grep -q '"schema":"relief-ckpt/1"' "$tmp/warm.ckpt"
+grep -q '"schema":"relief-ckpt/2"' "$tmp/warm.ckpt"
 for h in 15ms 25ms 40ms; do
 	"$tmp/relief-sim" -mix CG -period 5ms -horizon "$h" -restore "$tmp/warm.ckpt" >"$tmp/fork_$h.txt"
 	"$tmp/relief-sim" -mix CG -period 5ms -horizon "$h" >"$tmp/cold_$h.txt"
