@@ -1,24 +1,17 @@
 // relief-lint statically enforces the simulator's determinism, hot-path,
-// and API invariants (see docs/LINTING.md). It runs in two modes:
+// and API invariants (see docs/LINTING.md) over package patterns:
 //
-// Standalone, over package patterns:
+//	go run ./cmd/relief-lint ./...
 //
-//	go run ./cmd/relief-lint ./...               # human-readable, exit 1 on findings
-//	go run ./cmd/relief-lint -json ./...         # machine-readable findings array
-//	go run ./cmd/relief-lint -format sarif ./... # SARIF 2.1.0 log for code-scanning UIs
-//
-// As a vet tool, speaking cmd/go's unitchecker protocol (cross-package
-// facts flow through the .cfg PackageVetx/VetxOutput files):
-//
-//	go build -o relief-lint ./cmd/relief-lint
-//	go vet -vettool=$PWD/relief-lint ./...
+// It takes no flags. Each finding prints as file:line:col: [analyzer]
+// message. The exit status is 1 when there are findings and 2 when the
+// tool itself fails.
 //
 // Findings are suppressed by a //lint:allow <analyzer> <reason> comment on
 // the offending line or the line directly above.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -30,43 +23,8 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array (file, line, col, analyzer, message)")
-	format := flag.String("format", "", "output format: text (default), json, or sarif")
-	vFlag := flag.String("V", "", "if 'full', print the tool version for cmd/go's build cache and exit")
-	flagsFlag := flag.Bool("flags", false, "print the tool's flag definitions as JSON (cmd/go vet handshake) and exit")
 	flag.Usage = usage
 	flag.Parse()
-
-	switch {
-	case *vFlag == "full":
-		printVersion()
-		return
-	case *vFlag != "":
-		fmt.Fprintf(os.Stderr, "relief-lint: unsupported flag -V=%s\n", *vFlag)
-		os.Exit(2)
-	case *flagsFlag:
-		printFlagDefs()
-		return
-	}
-
-	// Unitchecker mode: cmd/go vet invokes the tool with a single *.cfg
-	// argument describing one package unit.
-	if flag.NArg() == 1 && strings.HasSuffix(flag.Arg(0), ".cfg") {
-		unitcheck(flag.Arg(0), *jsonOut)
-		return
-	}
-
-	mode := "text"
-	switch {
-	case *format != "":
-		mode = *format
-	case *jsonOut:
-		mode = "json"
-	}
-	if mode != "text" && mode != "json" && mode != "sarif" {
-		fmt.Fprintf(os.Stderr, "relief-lint: unknown -format %q (want text, json, or sarif)\n", mode)
-		os.Exit(2)
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -82,69 +40,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "relief-lint:", err)
 		os.Exit(2)
 	}
-	emit(findings, mode)
-	if len(findings) > 0 && mode == "text" {
+	// File paths print relative to the working directory when possible.
+	cwd, _ := os.Getwd()
+	for _, f := range findings {
+		if rel, err := filepath.Rel(cwd, f.File); err == nil && !strings.HasPrefix(rel, "..") {
+			f.File = rel
+		}
+		fmt.Printf("%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
+	}
+	if len(findings) > 0 {
 		os.Exit(1)
 	}
 }
 
-// emit prints findings with file paths relative to the working directory
-// when possible. In json and sarif modes the output is always a
-// well-formed document (possibly with zero results) so CI can parse it
-// unconditionally.
-func emit(findings []lint.Finding, mode string) {
-	if cwd, err := os.Getwd(); err == nil {
-		for i := range findings {
-			if rel, err := filepath.Rel(cwd, findings[i].File); err == nil && !strings.HasPrefix(rel, "..") {
-				findings[i].File = rel
-			}
-		}
-	}
-	switch mode {
-	case "json":
-		if findings == nil {
-			findings = []lint.Finding{}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, "relief-lint:", err)
-			os.Exit(2)
-		}
-	case "sarif":
-		if err := writeSARIF(os.Stdout, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "relief-lint:", err)
-			os.Exit(2)
-		}
-	default:
-		for _, f := range findings {
-			fmt.Printf("%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
-		}
-	}
-}
-
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: relief-lint [-json] [-format text|json|sarif] [packages...]
-
-Analyzers:
-`)
+	fmt.Fprintf(os.Stderr, "usage: relief-lint [packages...]\n\nAnalyzers:\n")
 	for _, a := range lint.All() {
 		fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, a.Doc)
 	}
-	fmt.Fprintf(os.Stderr, "\nFlags:\n")
-	flag.PrintDefaults()
-}
-
-// printFlagDefs emits the analysisflags-style JSON flag listing cmd/go
-// vet requests (via `relief-lint -flags`) to validate pass-through flags.
-func printFlagDefs() {
-	type jsonFlag struct {
-		Name  string `json:"Name"`
-		Bool  bool   `json:"Bool"`
-		Usage string `json:"Usage"`
-	}
-	defs := []jsonFlag{{Name: "json", Bool: true, Usage: "emit findings as a JSON array"}}
-	data, _ := json.Marshal(defs)
-	os.Stdout.Write(data)
-	fmt.Println()
 }

@@ -4,16 +4,15 @@
 // The container this project builds in has no module proxy access, so the
 // real x/tools framework cannot be vendored; this package keeps the same
 // shape (Analyzer, Pass, Diagnostic, a Run function returning diagnostics,
-// typed Facts with gob serialization, Requires ordering) so the analyzers
-// in internal/lint can be ported to the upstream framework mechanically if
-// x/tools ever becomes available. Suggested fixes remain out of scope.
+// typed Facts, Requires ordering) so the analyzers in internal/lint can be
+// ported to the upstream framework mechanically if x/tools ever becomes
+// available. Suggested fixes remain out of scope.
 //
 // Facts (see facts.go) let an analyzer export typed observations about
 // exported objects — "this function never allocates", "this field is
-// guarded by that mutex" — which the driver feeds, bottom-up over the
-// dependency graph, to the analyses of every importing package. The same
-// gob stream rides cmd/go's unitchecker protocol (.cfg PackageVetx /
-// VetxOutput files), so facts survive `go vet -vettool` too.
+// guarded by that mutex" — which the driver, analyzing packages bottom-up
+// over the dependency graph, makes visible to every importing package.
+// One in-memory FactSet holds them for the whole run.
 package analysis
 
 import (
@@ -38,9 +37,10 @@ type Analyzer struct {
 	Requires []*Analyzer
 
 	// FactTypes lists prototype values (pointers to structs) of every
-	// fact type this analyzer exports or imports, so the driver can
-	// register them with gob. An analyzer with FactTypes runs on VetxOnly
-	// dependency units too; one without is skipped there.
+	// fact type this analyzer exports or imports. A non-empty list marks
+	// the analyzer to run over dependency packages too, so their facts
+	// exist for the packages that import them; one without FactTypes
+	// runs only over the packages being linted.
 	FactTypes []Fact
 
 	// Run applies the analyzer to a package. It reports findings via
@@ -61,9 +61,9 @@ type Pass struct {
 	// the analyzer itself is concurrent (none of relief's are).
 	Report func(Diagnostic)
 
-	// Facts is the pass's fact store: imports from dependency packages
-	// plus exports of earlier analyzers on this package. Nil when the
-	// driver runs without facts (single-package harness paths).
+	// Facts is the run's fact store: exports of the dependency packages
+	// analyzed earlier plus those of earlier analyzers on this package.
+	// Nil when the driver runs without facts.
 	Facts *FactSet
 }
 

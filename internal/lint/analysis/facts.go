@@ -1,28 +1,22 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
-	"strings"
 )
 
-// A Fact is a typed, serializable observation an analyzer exports about an
-// object (a function, type, or struct field) so that analyses of packages
-// that import the object can consume it — the go/analysis Facts model.
-// Concrete fact types are pointers to structs, must be gob-encodable, and
-// must be listed in their analyzer's FactTypes so the engine can register
-// them with gob before any package is analyzed.
+// A Fact is a typed observation an analyzer exports about an object (a
+// function, type, or struct field) so that analyses of packages that
+// import the object can consume it — the go/analysis Facts model.
+// Concrete fact types are pointers to structs. Facts stay in memory for
+// one driver run and are never serialized.
 type Fact interface {
 	// AFact is a marker method; it has no behavior.
 	AFact()
 }
 
-// objectPath encodes an object as a package-relative path the facts engine
-// can resolve identically from either side of an export-data boundary:
+// objectPath names an object by a package-relative path the facts engine
+// resolves identically from either side of an export-data boundary:
 //
 //	F           package-level func, var, or type name
 //	T.M         method M of named type T (pointer or value receiver)
@@ -100,9 +94,9 @@ type factKey struct {
 	typ string // concrete fact type name
 }
 
-// FactSet is the engine's store for one package's analysis: the facts
-// imported from dependencies plus the facts the current pass exports. The
-// zero value is not usable; call NewFactSet.
+// FactSet is the engine's store for one driver run: every fact exported by
+// every package analyzed so far, keyed by package path, object path and
+// fact type. The zero value is not usable; call NewFactSet.
 type FactSet struct {
 	m map[factKey]Fact
 }
@@ -157,94 +151,4 @@ func (s *FactSet) ImportObjectFact(obj types.Object, fact Fact) bool {
 	}
 	dv.Elem().Set(sv.Elem())
 	return true
-}
-
-// wireFact is the gob wire form of one fact. Obj is the objectPath within
-// PkgPath; Fact is the concrete registered type.
-type wireFact struct {
-	PkgPath string
-	Obj     string
-	Fact    Fact
-}
-
-// Encode serializes every fact in the set — the package's own and those
-// inherited from its dependencies — so that a dependent package needs only
-// its direct imports' fact files to see the whole transitive closure (the
-// same re-export scheme x/tools' facts package uses). The stream is sorted
-// for deterministic bytes.
-func (s *FactSet) Encode() ([]byte, error) {
-	if s == nil || len(s.m) == 0 {
-		return nil, nil
-	}
-	wire := make([]wireFact, 0, len(s.m))
-	for k, f := range s.m {
-		wire = append(wire, wireFact{PkgPath: k.pkg, Obj: k.obj, Fact: f})
-	}
-	sort.Slice(wire, func(i, j int) bool {
-		a, b := wire[i], wire[j]
-		if a.PkgPath != b.PkgPath {
-			return a.PkgPath < b.PkgPath
-		}
-		if a.Obj != b.Obj {
-			return a.Obj < b.Obj
-		}
-		return factTypeName(a.Fact) < factTypeName(b.Fact)
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
-		return nil, fmt.Errorf("analysis: encoding facts: %v", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode merges a fact stream produced by Encode into the set. Empty input
-// (a dependency that exported nothing, or a driver that wrote a bare
-// placeholder file) is valid and a no-op.
-func (s *FactSet) Decode(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var wire []wireFact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
-		return fmt.Errorf("analysis: decoding facts: %v", err)
-	}
-	for _, w := range wire {
-		if w.Fact == nil {
-			continue
-		}
-		s.m[factKey{w.PkgPath, w.Obj, factTypeName(w.Fact)}] = w.Fact
-	}
-	return nil
-}
-
-// RegisterFactTypes registers every fact prototype declared by the given
-// analyzers with gob, so Encode/Decode can carry them through the Fact
-// interface. Safe to call repeatedly (duplicate registration of the same
-// type is idempotent for identical concrete types).
-func RegisterFactTypes(analyzers []*Analyzer) {
-	seen := make(map[string]bool)
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			name := factTypeName(f)
-			if seen[name] {
-				continue
-			}
-			seen[name] = true
-			gob.Register(f)
-		}
-	}
-}
-
-// DebugString renders the set's contents for tests ("pkg.obj: fact", one
-// per line, sorted), so fixtures can assert fact propagation directly.
-func (s *FactSet) DebugString() string {
-	if s == nil {
-		return ""
-	}
-	lines := make([]string, 0, len(s.m))
-	for k, f := range s.m {
-		lines = append(lines, fmt.Sprintf("%s.%s: %s=%+v", k.pkg, k.obj, k.typ, f))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

@@ -38,11 +38,11 @@ import (
 // Run applies one analyzer (plus its Requires closure) to each fixture
 // package and reports any mismatch between its findings and the // want
 // annotations. The analyzer runs over every loaded fixture package in
-// dependency order with the same gob-serialized fact pipeline the real
-// drivers use — facts exported by a dependency fixture survive an
-// encode/decode round-trip before the dependent package sees them — but
-// want annotations are checked only for the named packages (dependency
-// fixtures may carry wants for other analyzers' tests).
+// dependency order, sharing one in-memory FactSet for the run as the
+// real driver does, so facts exported by a dependency fixture reach the
+// packages that import it. Want annotations are checked only for the
+// named packages (dependency fixtures may carry wants for other
+// analyzers' tests).
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	src, err := filepath.Abs(filepath.Join(testdata, "src"))
@@ -58,26 +58,12 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 		}
 	}
 	analyzers := []*analysis.Analyzer{a}
-	analysis.RegisterFactTypes(lint.Expand(analyzers))
-	blobs := make(map[string][]byte)
+	facts := analysis.NewFactSet()
 	for _, pkg := range ld.order {
-		facts := analysis.NewFactSet()
-		for _, imp := range pkg.imports {
-			if blob, ok := blobs[imp]; ok {
-				if err := facts.Decode(blob); err != nil {
-					t.Fatalf("analysistest: decoding %s facts for %s: %v", imp, pkg.path, err)
-				}
-			}
-		}
 		findings, err := lint.RunPackage(ld.fset, pkg.files, pkg.types, pkg.info, analyzers, facts)
 		if err != nil {
 			t.Fatalf("analysistest: running %s on %s: %v", a.Name, pkg.path, err)
 		}
-		blob, err := facts.Encode()
-		if err != nil {
-			t.Fatalf("analysistest: encoding %s facts: %v", pkg.path, err)
-		}
-		blobs[pkg.path] = blob
 		if named[pkg.path] {
 			checkWants(t, pkg, findings)
 		}
@@ -91,7 +77,6 @@ type fixturePkg struct {
 	files     []*ast.File
 	types     *types.Package
 	info      *types.Info
-	imports   []string
 }
 
 // loader resolves fixture import paths under src, falling back to the
@@ -143,17 +128,7 @@ func (l *loader) load(path string) (*fixturePkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	var imports []string
-	seen := make(map[string]bool)
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			if p, err := strconv.Unquote(imp.Path.Value); err == nil && !seen[p] {
-				seen[p] = true
-				imports = append(imports, p)
-			}
-		}
-	}
-	pkg := &fixturePkg{path: path, dir: dir, fileNames: names, files: files, types: tpkg, info: info, imports: imports}
+	pkg := &fixturePkg{path: path, dir: dir, fileNames: names, files: files, types: tpkg, info: info}
 	l.pkgs[path] = pkg
 	// Type-checking resolves fixture imports recursively, so by the time a
 	// package lands here everything it imports is already in the order.

@@ -92,18 +92,18 @@ func Expand(analyzers []*analysis.Analyzer) []*analysis.Analyzer {
 
 // Finding is one reported, non-suppressed diagnostic.
 type Finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
 // RunPackage applies analyzers (expanded with their Requires closure) to
 // one type-checked package and returns the findings that survive
-// //lint:allow directive filtering, sorted by position. facts carries the
-// dependency packages' fact streams in and this package's exports out; a
-// nil facts runs the pass fact-less (facts-only analyzers then report
+// //lint:allow directive filtering, sorted by position. facts holds the
+// dependency packages' facts and receives this package's exports; a nil
+// facts runs the pass fact-less (facts-only analyzers then report
 // nothing).
 func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*analysis.Analyzer, facts *analysis.FactSet) ([]Finding, error) {
 	allowed := collectAllows(fset, files)
@@ -124,12 +124,6 @@ func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info
 		}
 		for _, d := range diags {
 			pos := fset.Position(d.Pos)
-			// The invariants guard shipped simulator code; tests drive the
-			// kernel and the clock directly by design (go vet feeds test
-			// files through the vettool, unlike the standalone loader).
-			if strings.HasSuffix(pos.Filename, "_test.go") {
-				continue
-			}
 			if allowed[allowKey{pos.Filename, pos.Line, a.Name}] ||
 				allowed[allowKey{pos.Filename, pos.Line - 1, a.Name}] {
 				continue
@@ -159,31 +153,24 @@ func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info
 	return out, nil
 }
 
-// RunPackages drives the whole-module facts pipeline: packages arrive in
-// dependency order (load.Packages), each one is analyzed with exactly its
-// direct imports' fact streams decoded into a fresh store, and its own
-// exports are gob-encoded for its dependents — the same serialization the
-// unitchecker path uses, so facts that survive here survive `go vet
-// -vettool` too. Findings are reported for Target packages only;
-// dependencies run just the fact-producing analyzers.
+// RunPackages drives the whole-module facts pipeline. Packages arrive in
+// dependency order (load.Packages) and share one in-memory FactSet, so
+// every package sees the facts of everything it imports, directly or
+// not. Facts are keyed by package path, object path and fact type, so
+// a package can only look up facts about objects its imports reach, and
+// sharing the store changes no finding. Findings are reported for Target
+// packages only; dependencies run just the fact-producing analyzers.
 func RunPackages(fset *token.FileSet, pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
 	expanded := Expand(analyzers)
-	analysis.RegisterFactTypes(expanded)
 	var factual []*analysis.Analyzer
 	for _, a := range expanded {
 		if len(a.FactTypes) > 0 {
 			factual = append(factual, a)
 		}
 	}
-	blobs := make(map[string][]byte, len(pkgs))
+	facts := analysis.NewFactSet()
 	var out []Finding
 	for _, pkg := range pkgs {
-		facts := analysis.NewFactSet()
-		for _, imp := range pkg.Imports {
-			if err := facts.Decode(blobs[imp]); err != nil {
-				return nil, err
-			}
-		}
 		run := factual
 		if pkg.Target {
 			run = expanded
@@ -195,11 +182,6 @@ func RunPackages(fset *token.FileSet, pkgs []*load.Package, analyzers []*analysi
 		if pkg.Target {
 			out = append(out, findings...)
 		}
-		blob, err := facts.Encode()
-		if err != nil {
-			return nil, err
-		}
-		blobs[pkg.ImportPath] = blob
 	}
 	return out, nil
 }

@@ -37,10 +37,6 @@ type Package struct {
 	// reported for targets); false for module dependencies loaded only so
 	// fact-producing analyzers can run over them bottom-up.
 	Target bool
-
-	// Imports lists the package's direct imports, so a facts driver can
-	// feed each package exactly its dependencies' fact streams.
-	Imports []string
 }
 
 // listEntry is the subset of `go list -json` output the loader consumes.
@@ -53,7 +49,6 @@ type listEntry struct {
 	DepOnly    bool
 	GoFiles    []string
 	CgoFiles   []string
-	Imports    []string
 	Error      *struct{ Err string }
 }
 
@@ -99,7 +94,6 @@ func Packages(dir string, patterns ...string) (*token.FileSet, []*Package, error
 			return nil, nil, err
 		}
 		pkg.Target = !e.DepOnly
-		pkg.Imports = e.Imports
 		pkgs = append(pkgs, pkg)
 	}
 	return fset, pkgs, nil
@@ -175,8 +169,8 @@ func ParseDir(fset *token.FileSet, dir string, names []string) ([]*ast.File, err
 }
 
 // Check type-checks already-parsed files as package path, resolving
-// imports through imp. It is shared by the CLI loader, the vettool mode,
-// and the analysistest harness.
+// imports through imp. It is shared by the CLI loader and the
+// analysistest harness.
 func Check(fset *token.FileSet, imp types.Importer, path string, files []*ast.File) (*types.Package, *types.Info, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
