@@ -27,10 +27,15 @@ func (r *Resource) CaptureState() (ResourceState, error) {
 }
 
 // RestoreState primes a freshly constructed resource with captured
-// accounting.
-func (r *Resource) RestoreState(s ResourceState) {
+// accounting. It rejects negative accumulators, which no run can produce,
+// before touching the resource.
+func (r *Resource) RestoreState(s ResourceState) error {
+	if s.BusyAcc < 0 || s.Bytes < 0 {
+		return fmt.Errorf("mem: restore resource %s negative busy time %d or bytes %d", r.name, s.BusyAcc, s.Bytes)
+	}
 	r.busyAcc = s.BusyAcc
 	r.bytes = s.Bytes
+	return nil
 }
 
 // OccupancyState is the serializable state of an Occupancy tracker at a
@@ -50,9 +55,15 @@ func (o *Occupancy) CaptureState() (OccupancyState, error) {
 	return OccupancyState{Acc: o.acc, Claims: o.Claims, Conflicts: o.Conflicts}, nil
 }
 
-// RestoreState primes a fresh tracker with captured accounting.
-func (o *Occupancy) RestoreState(s OccupancyState) {
+// RestoreState primes a fresh tracker with captured accounting. It
+// rejects negative accumulators, which no run can produce, before touching
+// the tracker.
+func (o *Occupancy) RestoreState(s OccupancyState) error {
+	if s.Acc < 0 || s.Claims < 0 || s.Conflicts < 0 {
+		return fmt.Errorf("mem: restore occupancy negative busy time %d, claims %d or conflicts %d", s.Acc, s.Claims, s.Conflicts)
+	}
 	o.acc = s.Acc
 	o.Claims = s.Claims
 	o.Conflicts = s.Conflicts
+	return nil
 }

@@ -259,15 +259,19 @@ func (ic *Interconnect) RestoreState(s State) error {
 		return fmt.Errorf("xbar: restore link count %d, checkpoint has %d", len(links), len(s.Links))
 	}
 	for i, l := range links {
-		l.RestoreState(s.Links[i])
+		if err := l.RestoreState(s.Links[i]); err != nil {
+			return err
+		}
 	}
-	ic.occ.RestoreState(s.Occ)
+	if err := ic.occ.RestoreState(s.Occ); err != nil {
+		return err
+	}
 	dr, ok := ic.dram.(*mem.Resource)
 	if ok != (s.DRAM != nil) {
 		return fmt.Errorf("xbar: restore DRAM server kind mismatch with checkpoint")
 	}
 	if ok {
-		dr.RestoreState(*s.DRAM)
+		return dr.RestoreState(*s.DRAM)
 	}
 	return nil
 }

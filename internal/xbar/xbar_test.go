@@ -128,3 +128,31 @@ func TestOccupancyZeroAtStart(t *testing.T) {
 		t.Error("occupancy nonzero before any event")
 	}
 }
+
+// TestRestoreStatePassesOnMemErrors: a crafted state with a negative link,
+// occupancy or DRAM accumulator is refused by the interconnect's restore,
+// not silently applied.
+func TestRestoreStatePassesOnMemErrors(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*State)
+	}{
+		{"link", func(s *State) { s.Links[1].BusyAcc = -1 }},
+		{"occupancy", func(s *State) { s.Occ.Claims = -1 }},
+		{"dram", func(s *State) { s.DRAM.Bytes = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(2)
+			cfg.Topology = Crossbar
+			s, err := New(sim.NewKernel(), cfg).CaptureState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(&s)
+			if err := New(sim.NewKernel(), cfg).RestoreState(s); err == nil {
+				t.Fatal("RestoreState accepted a negative accumulator")
+			}
+		})
+	}
+}
