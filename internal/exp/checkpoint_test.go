@@ -242,23 +242,7 @@ func TestCheckpointEnvelopeTamper(t *testing.T) {
 		"next partition": func(is *manager.InstanceState) { is.NextPart = 99 },
 		"health":         func(is *manager.InstanceState) { is.Health = 258 },
 	} {
-		var ck manager.Checkpoint
-		if err := gob.NewDecoder(bytes.NewReader(opened.Payload)).Decode(&ck); err != nil {
-			t.Fatal(err)
-		}
-		mutate(&ck.Instances[0])
-		var payload bytes.Buffer
-		if err := gob.NewEncoder(&payload).Encode(&ck); err != nil {
-			t.Fatal(err)
-		}
-		resealed, err := ckpt.Seal(opened.Key, opened.ForkKey, opened.CapturedPs, payload.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		bad, err := ckpt.Open(resealed)
-		if err != nil {
-			t.Fatalf("%s: re-sealed envelope rejected by Open: %v", name, err)
-		}
+		bad := resealCheckpoint(t, opened, func(ck *manager.Checkpoint) { mutate(&ck.Instances[0]) })
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
@@ -269,6 +253,52 @@ func TestCheckpointEnvelopeTamper(t *testing.T) {
 				t.Errorf("%s: out-of-range instance state restored without error", name)
 			}
 		}()
+	}
+}
+
+// resealCheckpoint decodes a checkpoint payload, applies mutate, and
+// re-encodes and re-seals it: a crafted checkpoint that passes the
+// envelope's integrity check, so only restore itself can refuse it.
+func resealCheckpoint(t *testing.T, opened *ckpt.Envelope, mutate func(*manager.Checkpoint)) *ckpt.Envelope {
+	t.Helper()
+	var ck manager.Checkpoint
+	if err := gob.NewDecoder(bytes.NewReader(opened.Payload)).Decode(&ck); err != nil {
+		t.Fatal(err)
+	}
+	mutate(&ck)
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&ck); err != nil {
+		t.Fatal(err)
+	}
+	resealed, err := ckpt.Seal(opened.Key, opened.ForkKey, opened.CapturedPs, payload.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := ckpt.Open(resealed)
+	if err != nil {
+		t.Fatalf("re-sealed envelope rejected by Open: %v", err)
+	}
+	return bad
+}
+
+// TestCheckpointRestoreRejectsMovedClock: a checkpoint whose kernel clock
+// differs from its capture instant is refused. Moving the clock forward
+// used to be accepted and silently halved the edges the run reported.
+func TestCheckpointRestoreRejectsMovedClock(t *testing.T) {
+	sc := periodicScenario(t)
+	env, err := RunToCheckpoint(context.Background(), sc, 8*sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, err := ckpt.Open(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, shift := range map[string]sim.Time{"forward": 20 * sim.Millisecond, "backward": -sim.Millisecond} {
+		bad := resealCheckpoint(t, opened, func(ck *manager.Checkpoint) { ck.Kernel.Now += shift })
+		if _, err := RunFromCheckpoint(context.Background(), sc, bad); err == nil || !strings.Contains(err.Error(), "kernel clock") {
+			t.Errorf("%s: restore error = %v, want a kernel clock mismatch", name, err)
+		}
 	}
 }
 

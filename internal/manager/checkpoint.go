@@ -209,6 +209,10 @@ func Restore(k *sim.Kernel, cfg Config, data []byte) (*Manager, *stats.Stats, er
 	if ck.Stats == nil || ck.CapturedAt <= 0 {
 		return nil, nil, fmt.Errorf("manager: checkpoint has no captured state")
 	}
+	// capture() reads both from the same clock, so they always agree.
+	if ck.Kernel.Now != ck.CapturedAt {
+		return nil, nil, fmt.Errorf("manager: checkpoint kernel clock %v differs from its capture instant %v", ck.Kernel.Now, ck.CapturedAt)
+	}
 	ck.Stats.Apps = make(map[string]*stats.AppStats, len(ck.Apps))
 	for _, a := range ck.Apps {
 		if ck.Stats.Apps[a.App] != nil {
