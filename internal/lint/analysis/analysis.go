@@ -63,15 +63,14 @@ type Pass struct {
 
 	// Facts is the run's fact store: exports of the dependency packages
 	// analyzed earlier plus those of earlier analyzers on this package.
-	// Nil when the driver runs without facts.
 	Facts *FactSet
 }
 
 // ExportObjectFact exports fact about obj, which must belong to the
-// package under analysis. No-op when the pass runs without a fact store
-// or the object belongs to another package.
+// package under analysis. No-op when the object belongs to another
+// package.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	if p.Facts == nil || obj == nil || obj.Pkg() != p.Pkg {
+	if obj == nil || obj.Pkg() != p.Pkg {
 		return
 	}
 	p.Facts.ExportObjectFact(obj, fact)
@@ -80,9 +79,6 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 // ImportObjectFact copies into *fact the fact exported about obj by this
 // package or any analyzed dependency, reporting whether one exists.
 func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	if p.Facts == nil {
-		return false
-	}
 	return p.Facts.ImportObjectFact(obj, fact)
 }
 

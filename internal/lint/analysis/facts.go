@@ -119,7 +119,7 @@ func factTypeName(fact Fact) string {
 // stable path are silently skipped, mirroring the upstream contract that
 // facts on unexported locals simply do not propagate.
 func (s *FactSet) ExportObjectFact(obj types.Object, fact Fact) {
-	if s == nil || obj == nil || obj.Pkg() == nil {
+	if obj == nil || obj.Pkg() == nil {
 		return
 	}
 	path, ok := objectPath(obj)
@@ -133,7 +133,7 @@ func (s *FactSet) ExportObjectFact(obj types.Object, fact Fact) {
 // any analyzed dependency) into *fact and reports whether one was found.
 // fact must be a pointer of the same concrete type the producer exported.
 func (s *FactSet) ImportObjectFact(obj types.Object, fact Fact) bool {
-	if s == nil || obj == nil || obj.Pkg() == nil {
+	if obj == nil || obj.Pkg() == nil {
 		return false
 	}
 	path, ok := objectPath(obj)

@@ -102,9 +102,7 @@ type Finding struct {
 // RunPackage applies analyzers (expanded with their Requires closure) to
 // one type-checked package and returns the findings that survive
 // //lint:allow directive filtering, sorted by position. facts holds the
-// dependency packages' facts and receives this package's exports; a nil
-// facts runs the pass fact-less (facts-only analyzers then report
-// nothing).
+// dependency packages' facts and receives this package's exports.
 func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*analysis.Analyzer, facts *analysis.FactSet) ([]Finding, error) {
 	allowed := collectAllows(fset, files)
 	var out []Finding

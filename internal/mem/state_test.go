@@ -48,29 +48,17 @@ func TestRestoreStateRejectsNegativeAccounting(t *testing.T) {
 		})
 	}
 
-	// A captured state round-trips.
+	// Non-negative accounting restores and reads back.
 	k := sim.NewKernel()
-	r := NewResource(k, "bus", 1*GB)
-	o := NewOccupancy(k)
-	r.SetOccupancy(o)
-	r.Enqueue(1000, func() {})
-	k.Run()
-	rs, err := r.CaptureState()
-	if err != nil {
-		t.Fatal(err)
+	r, o := NewResource(k, "bus", 1*GB), NewOccupancy(k)
+	if err := r.RestoreState(ResourceState{BusyAcc: sim.Microsecond, Bytes: 1000}); err != nil {
+		t.Fatalf("restoring a valid resource state: %v", err)
 	}
-	occ, err := o.CaptureState()
-	if err != nil {
-		t.Fatal(err)
+	if err := o.RestoreState(OccupancyState{Acc: sim.Microsecond, Claims: 2, Conflicts: 1}); err != nil {
+		t.Fatalf("restoring a valid tracker state: %v", err)
 	}
-	r2, o2 := NewResource(k, "bus", 1*GB), NewOccupancy(k)
-	if err := r2.RestoreState(rs); err != nil {
-		t.Fatalf("restoring a captured resource: %v", err)
-	}
-	if err := o2.RestoreState(occ); err != nil {
-		t.Fatalf("restoring a captured tracker: %v", err)
-	}
-	if r2.BusyTime() != r.BusyTime() || r2.BytesServed() != 1000 || o2.Busy() != o.Busy() {
-		t.Errorf("round trip: busy %v bytes %d occ %v, want %v 1000 %v", r2.BusyTime(), r2.BytesServed(), o2.Busy(), r.BusyTime(), o.Busy())
+	if r.BusyTime() != sim.Microsecond || r.BytesServed() != 1000 || o.Busy() != sim.Microsecond || o.Claims != 2 || o.Conflicts != 1 {
+		t.Errorf("restored state did not read back: busy %v, bytes %d, occ %v, claims %d, conflicts %d",
+			r.BusyTime(), r.BytesServed(), o.Busy(), o.Claims, o.Conflicts)
 	}
 }
