@@ -9,8 +9,6 @@
 package core
 
 import (
-	"sort"
-
 	"relief/internal/graph"
 	"relief/internal/sched"
 	"relief/internal/sim"
@@ -85,36 +83,34 @@ func (r *RELIEF) base() sched.Policy {
 // (max_forwards) and (2) the feasibility check says the escalation is
 // unlikely to cause a deadline miss. Otherwise the candidate is inserted at
 // its normal laxity position.
-func (r *RELIEF) EnqueueReady(queues sched.Queues, ready []*graph.Node, idle func(k int) int, now sim.Time) (scanned int, escalated []*graph.Node) {
-	if len(ready) == 0 {
-		return 0, nil
-	}
-	// fwd_nodes: per-kind laxity-sorted candidate lists (Alg. 1 lines 2-8).
-	fwd := make(map[int][]*graph.Node)
-	for _, n := range ready {
-		k := int(n.Kind)
-		lst := fwd[k]
-		pos := sort.Search(len(lst), func(i int) bool { return n.Laxity < lst[i].Laxity })
-		lst = append(lst, nil)
-		copy(lst[pos+1:], lst[pos:])
-		lst[pos] = n
-		fwd[k] = lst
-		scanned += pos
+//
+// The fwd_nodes lists are ready itself, sorted in place and stably by
+// (kind, laxity), so ready is reordered. Building each list by sorted
+// insertion scans a candidate's earlier same-kind candidates whose laxity
+// is at most its own; those count towards scanned.
+//
+//relief:hotpath
+func (r *RELIEF) EnqueueReady(queues sched.Queues, ready []*graph.Node, idle func(k int) int, now sim.Time) (scanned int) {
+	// fwd_nodes (Alg. 1 lines 2-8).
+	for i := 1; i < len(ready); i++ {
+		n := ready[i]
+		j := i
+		for ; j > 0 && fwdAfter(ready[j-1], n); j-- {
+			ready[j] = ready[j-1]
+		}
+		ready[j] = n
+		for x := j - 1; x >= 0 && ready[x].Kind == n.Kind; x-- {
+			scanned++
+		}
 	}
 	base := r.base()
-	// Iterate kinds in sorted order: map order is randomized, and the
-	// escalated list (and any future order-sensitive consumer of it) must
-	// not depend on it.
-	kinds := make([]int, 0, len(fwd))
-	for k := range fwd {
-		kinds = append(kinds, k)
-	}
-	sort.Ints(kinds)
-	for _, k := range kinds {
-		lst := fwd[k]
+	// Kinds in ascending order, each group in laxity order.
+	for i := 0; i < len(ready); {
+		k := int(ready[i].Kind)
 		maxForwards := idle(k)
 		q := queues[k]
-		for _, node := range lst {
+		for ; i < len(ready) && int(ready[i].Kind) == k; i++ {
+			node := ready[i]
 			pos, s := base.InsertPos(*q, node, now)
 			scanned += s
 			canEscalate := maxForwards > 0 || r.UnboundedForwards
@@ -128,7 +124,6 @@ func (r *RELIEF) EnqueueReady(queues sched.Queues, ready []*graph.Node, idle fun
 					if maxForwards > 0 {
 						maxForwards--
 					}
-					escalated = append(escalated, node)
 					continue
 				}
 			}
@@ -137,7 +132,15 @@ func (r *RELIEF) EnqueueReady(queues sched.Queues, ready []*graph.Node, idle fun
 			node.State = graph.Ready
 		}
 	}
-	return scanned, escalated
+	return scanned
+}
+
+// fwdAfter reports whether a sorts after b in the fwd_nodes order: by
+// kind, then by laxity.
+//
+//relief:hotpath
+func fwdAfter(a, b *graph.Node) bool {
+	return a.Kind > b.Kind || a.Kind == b.Kind && a.Laxity > b.Laxity
 }
 
 // feasible is Algorithm 2: escalating fnode ahead of the queue entries
@@ -149,6 +152,8 @@ func (r *RELIEF) EnqueueReady(queues sched.Queues, ready []*graph.Node, idle fun
 // without the promotion. When the escalation is allowed, the bypassed
 // entries' stored laxity is charged with fnode's runtime so subsequent
 // escalations see the already-consumed slack (Alg. 2 lines 10-14).
+//
+//relief:hotpath
 func (r *RELIEF) feasible(q []*graph.Node, fnode *graph.Node, index int, now sim.Time) (bool, int) {
 	if r.DisableFeasibility {
 		return true, 0

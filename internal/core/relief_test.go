@@ -77,8 +77,8 @@ func TestEscalatesWhenFeasible(t *testing.T) {
 	*f.queues[int(accel.ElemMatrix)] = []*graph.Node{head}
 
 	child := mk(accel.ElemMatrix, 2000*us, 50*us) // higher laxity than head
-	_, esc := r.EnqueueReady(f.queues, []*graph.Node{child}, f.idleOf, 0)
-	if len(esc) != 1 || esc[0] != child {
+	r.EnqueueReady(f.queues, []*graph.Node{child}, f.idleOf, 0)
+	if !child.IsFwd {
 		t.Fatal("feasible forwarding node was not escalated")
 	}
 	q := f.q(accel.ElemMatrix)
@@ -101,8 +101,8 @@ func TestThrottledWhenInfeasible(t *testing.T) {
 	*f.queues[int(accel.ElemMatrix)] = []*graph.Node{head}
 
 	child := mk(accel.ElemMatrix, 2000*us, 50*us) // runtime 50us > head laxity 30us
-	_, esc := r.EnqueueReady(f.queues, []*graph.Node{child}, f.idleOf, 0)
-	if len(esc) != 0 {
+	r.EnqueueReady(f.queues, []*graph.Node{child}, f.idleOf, 0)
+	if child.IsFwd {
 		t.Fatal("infeasible escalation must be throttled")
 	}
 	q := f.q(accel.ElemMatrix)
@@ -123,15 +123,15 @@ func TestNoIdleNoEscalation(t *testing.T) {
 	head := mk(accel.ElemMatrix, 1000*us, 10*us)
 	*f.queues[int(accel.ElemMatrix)] = []*graph.Node{head}
 	child := mk(accel.ElemMatrix, 2000*us, 50*us)
-	_, esc := r.EnqueueReady(f.queues, []*graph.Node{child}, f.idleOf, 0)
-	if len(esc) != 0 || f.q(accel.ElemMatrix)[0] != head {
+	r.EnqueueReady(f.queues, []*graph.Node{child}, f.idleOf, 0)
+	if child.IsFwd || f.q(accel.ElemMatrix)[0] != head {
 		t.Fatal("escalation happened with no idle accelerator")
 	}
 	// The ablation flag lifts the cap.
 	r2 := &RELIEF{Base: sched.LL{}, UnboundedForwards: true}
 	child2 := mk(accel.ElemMatrix, 2000*us, 50*us)
-	_, esc = r2.EnqueueReady(f.queues, []*graph.Node{child2}, f.idleOf, 0)
-	if len(esc) != 1 {
+	r2.EnqueueReady(f.queues, []*graph.Node{child2}, f.idleOf, 0)
+	if !child2.IsFwd || f.q(accel.ElemMatrix)[0] != child2 {
 		t.Fatal("UnboundedForwards must lift the max_forwards cap")
 	}
 }
@@ -143,13 +143,11 @@ func TestMaxForwardsCap(t *testing.T) {
 	f.idle[int(accel.ElemMatrix)] = 1
 	c1 := mk(accel.ElemMatrix, 3000*us, 10*us)
 	c2 := mk(accel.ElemMatrix, 4000*us, 10*us)
-	_, esc := r.EnqueueReady(f.queues, []*graph.Node{c1, c2}, f.idleOf, 0)
-	if len(esc) != 1 {
-		t.Fatalf("escalated %d children, want 1 (one idle instance)", len(esc))
-	}
-	// The lower-laxity candidate is processed first from the fwd list.
-	if esc[0] != c1 {
-		t.Fatal("fwd list must be laxity-sorted (lowest first)")
+	r.EnqueueReady(f.queues, []*graph.Node{c2, c1}, f.idleOf, 0)
+	// One idle instance allows one escalation, and the lower-laxity
+	// candidate is processed first from the fwd list.
+	if !c1.IsFwd || c2.IsFwd {
+		t.Fatalf("escalated c1=%v c2=%v, want only c1 (one idle instance, fwd list laxity-sorted)", c1.IsFwd, c2.IsFwd)
 	}
 }
 
@@ -164,8 +162,8 @@ func TestSkipsNegativeLaxityNodes(t *testing.T) {
 	ok := mk(accel.ElemMatrix, 2000*us, 100*us) // current laxity 1400us
 	*f.queues[int(accel.ElemMatrix)] = []*graph.Node{late, ok}
 	child := mk(accel.ElemMatrix, 5000*us, 200*us)
-	_, esc := r.EnqueueReady(f.queues, []*graph.Node{child}, f.idleOf, now)
-	if len(esc) != 1 {
+	r.EnqueueReady(f.queues, []*graph.Node{child}, f.idleOf, now)
+	if !child.IsFwd {
 		t.Fatal("negative-laxity entries must not block escalation")
 	}
 }
@@ -181,8 +179,8 @@ func TestExistingFwdNodesDontBlock(t *testing.T) {
 	ok := mk(accel.ElemMatrix, 5000*us, 100*us)
 	*f.queues[int(accel.ElemMatrix)] = []*graph.Node{fwd, ok}
 	child := mk(accel.ElemMatrix, 8000*us, 200*us)
-	_, esc := r.EnqueueReady(f.queues, []*graph.Node{child}, f.idleOf, 0)
-	if len(esc) != 1 {
+	r.EnqueueReady(f.queues, []*graph.Node{child}, f.idleOf, 0)
+	if !child.IsFwd {
 		t.Fatal("existing forwarding nodes must not prevent escalation")
 	}
 }
@@ -194,8 +192,8 @@ func TestEmptyQueueEscalates(t *testing.T) {
 	f := newFixture()
 	f.idle[int(accel.Convolution)] = 1
 	child := mk(accel.Convolution, 2000*us, 50*us)
-	_, esc := r.EnqueueReady(f.queues, []*graph.Node{child}, f.idleOf, 0)
-	if len(esc) != 1 || f.q(accel.Convolution)[0] != child {
+	r.EnqueueReady(f.queues, []*graph.Node{child}, f.idleOf, 0)
+	if !child.IsFwd || f.q(accel.Convolution)[0] != child {
 		t.Fatal("empty-queue escalation failed")
 	}
 }
@@ -209,9 +207,9 @@ func TestMultiKindChildren(t *testing.T) {
 	f.idle[int(accel.Convolution)] = 1
 	em := mk(accel.ElemMatrix, 2000*us, 50*us)
 	cv := mk(accel.Convolution, 2000*us, 500*us)
-	_, esc := r.EnqueueReady(f.queues, []*graph.Node{em, cv}, f.idleOf, 0)
-	if len(esc) != 2 {
-		t.Fatalf("escalated %d, want 2 (independent kinds)", len(esc))
+	r.EnqueueReady(f.queues, []*graph.Node{em, cv}, f.idleOf, 0)
+	if !em.IsFwd || !cv.IsFwd {
+		t.Fatalf("escalated em=%v cv=%v, want both (independent kinds)", em.IsFwd, cv.IsFwd)
 	}
 	if f.q(accel.ElemMatrix)[0] != em || f.q(accel.Convolution)[0] != cv {
 		t.Fatal("children not routed to their kind queues")
@@ -228,11 +226,11 @@ func TestFeasibilityConsidersAccumulatedCharges(t *testing.T) {
 	*f.queues[int(accel.ElemMatrix)] = []*graph.Node{head}
 	c1 := mk(accel.ElemMatrix, 2000*us, 50*us)
 	c2 := mk(accel.ElemMatrix, 3000*us, 50*us)
-	_, esc := r.EnqueueReady(f.queues, []*graph.Node{c1, c2}, f.idleOf, 0)
+	r.EnqueueReady(f.queues, []*graph.Node{c1, c2}, f.idleOf, 0)
 	// First escalation drops head laxity to 30us < 50us, so the second
 	// must be throttled.
-	if len(esc) != 1 {
-		t.Fatalf("escalated %d, want 1 (slack exhausted)", len(esc))
+	if !c1.IsFwd || c2.IsFwd {
+		t.Fatalf("escalated c1=%v c2=%v, want only c1 (slack exhausted)", c1.IsFwd, c2.IsFwd)
 	}
 	if head.Laxity != 30*us {
 		t.Errorf("head laxity = %v, want 30us", head.Laxity)
@@ -247,8 +245,8 @@ func TestDisableFeasibilityEscalatesAlways(t *testing.T) {
 	head := mk(accel.ElemMatrix, 100*us, 99*us) // laxity 1us: infeasible
 	*f.queues[int(accel.ElemMatrix)] = []*graph.Node{head}
 	child := mk(accel.ElemMatrix, 2000*us, 50*us)
-	_, esc := r.EnqueueReady(f.queues, []*graph.Node{child}, f.idleOf, 0)
-	if len(esc) != 1 {
+	r.EnqueueReady(f.queues, []*graph.Node{child}, f.idleOf, 0)
+	if !child.IsFwd {
 		t.Fatal("DisableFeasibility must escalate unconditionally")
 	}
 }
@@ -270,8 +268,7 @@ func TestInsertPosDelegatesToBase(t *testing.T) {
 
 // TestEnqueueEmptyReady is a no-op.
 func TestEnqueueEmptyReady(t *testing.T) {
-	scanned, esc := New().EnqueueReady(newFixture().queues, nil, func(int) int { return 1 }, 0)
-	if scanned != 0 || esc != nil {
+	if scanned := New().EnqueueReady(newFixture().queues, nil, func(int) int { return 1 }, 0); scanned != 0 {
 		t.Fatal("empty ready set must be a no-op")
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"math"
 	"strings"
 	"testing"
 
+	"relief/internal/accel"
 	"relief/internal/ckpt"
 	"relief/internal/fault"
 	"relief/internal/manager"
@@ -299,6 +301,42 @@ func TestCheckpointRestoreRejectsMovedClock(t *testing.T) {
 		if _, err := RunFromCheckpoint(context.Background(), sc, bad); err == nil || !strings.Contains(err.Error(), "kernel clock") {
 			t.Errorf("%s: restore error = %v, want a kernel clock mismatch", name, err)
 		}
+	}
+}
+
+// TestCheckpointRestoreRejectsImpossibleState: manager state that no
+// quiescent capture can produce is refused with an error. Each case used to
+// restore without one.
+func TestCheckpointRestoreRejectsImpossibleState(t *testing.T) {
+	sc := periodicScenario(t)
+	env, err := RunToCheckpoint(context.Background(), sc, 8*sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, err := ckpt.Open(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(*manager.Checkpoint)
+		want   string
+	}{
+		{"deaths without a dead instance", func(ck *manager.Checkpoint) { ck.Deaths = 1 }, "instance deaths"},
+		{"negative deaths", func(ck *manager.Checkpoint) { ck.Deaths = -3 }, "instance deaths"},
+		{"uncounted dead instance", func(ck *manager.Checkpoint) { ck.Instances[0].Health = int(accel.Dead) }, "instance deaths"},
+		{"negative free-at", func(ck *manager.Checkpoint) { ck.FreeAt = -1 }, "manager times"},
+		{"negative last-done", func(ck *manager.Checkpoint) { ck.LastDone = -1 }, "manager times"},
+		{"last-done after capture", func(ck *manager.Checkpoint) { ck.LastDone = math.MaxInt64 }, "manager times"},
+		{"negative compute busy", func(ck *manager.Checkpoint) { ck.Instances[0].ComputeBusy = -1 }, "compute busy"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bad := resealCheckpoint(t, opened, c.mutate)
+			if _, err := RunFromCheckpoint(context.Background(), sc, bad); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("restore error = %v, want one naming %q", err, c.want)
+			}
+		})
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 	"relief/internal/workload"
 )
 
-// variants builds every application plain, at scale 2, and at scale 2
-// split into four tiles.
+// variants builds every application plain (a clone of its template), from
+// scratch (scale 1), at scale 2, and at scale 2 split into four tiles.
 func variants(t *testing.T) map[string]func() *graph.DAG {
 	t.Helper()
 	out := map[string]func() *graph.DAG{}
@@ -29,6 +29,7 @@ func variants(t *testing.T) map[string]func() *graph.DAG {
 			return d
 		}
 		out[a.Name()] = func() *graph.DAG { return must(workload.Build(a)) }
+		out[a.Name()+"/fresh"] = func() *graph.DAG { return must(workload.BuildScaled(a, 1)) }
 		out[a.Name()+"/scaled"] = func() *graph.DAG { return must(workload.BuildScaled(a, 2)) }
 		out[a.Name()+"/tiled"] = func() *graph.DAG { return must(workload.BuildTiled(a, 2, 4)) }
 	}

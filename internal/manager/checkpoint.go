@@ -213,6 +213,10 @@ func Restore(k *sim.Kernel, cfg Config, data []byte) (*Manager, *stats.Stats, er
 	if ck.Kernel.Now != ck.CapturedAt {
 		return nil, nil, fmt.Errorf("manager: checkpoint kernel clock %v differs from its capture instant %v", ck.Kernel.Now, ck.CapturedAt)
 	}
+	// The manager's clocks are times the run has reached by the capture.
+	if ck.FreeAt < 0 || ck.LastDone < 0 || ck.LastDone > ck.CapturedAt {
+		return nil, nil, fmt.Errorf("manager: checkpoint manager times (free at %v, last done %v) outside [0, %v]", ck.FreeAt, ck.LastDone, ck.CapturedAt)
+	}
 	ck.Stats.Apps = make(map[string]*stats.AppStats, len(ck.Apps))
 	for _, a := range ck.Apps {
 		if ck.Stats.Apps[a.App] != nil {
@@ -230,6 +234,7 @@ func Restore(k *sim.Kernel, cfg Config, data []byte) (*Manager, *stats.Stats, er
 	if len(ck.Instances) != len(m.insts) {
 		return nil, nil, fmt.Errorf("manager: restore platform has %d instances, checkpoint has %d", len(m.insts), len(ck.Instances))
 	}
+	dead := 0
 	for i, is := range ck.Instances {
 		inst := m.insts[i]
 		if int(inst.Kind) != is.Kind {
@@ -241,9 +246,19 @@ func Restore(k *sim.Kernel, cfg Config, data []byte) (*Manager, *stats.Stats, er
 		if is.Health < 0 || is.Health > int(accel.Dead) {
 			return nil, nil, fmt.Errorf("manager: checkpoint instance %d has invalid health %d", i, is.Health)
 		}
+		if is.ComputeBusy < 0 {
+			return nil, nil, fmt.Errorf("manager: checkpoint instance %d has negative compute busy time %v", i, is.ComputeBusy)
+		}
+		if is.Health == int(accel.Dead) {
+			dead++
+		}
 		inst.ComputeBusy = is.ComputeBusy
 		inst.Health = accel.Health(is.Health)
 		inst.NextPart = is.NextPart
+	}
+	// killInstance counts every death exactly once.
+	if ck.Deaths != dead {
+		return nil, nil, fmt.Errorf("manager: checkpoint counts %d instance deaths but has %d dead instances", ck.Deaths, dead)
 	}
 	if err := m.ic.RestoreState(ck.Interconnect); err != nil {
 		return nil, nil, err

@@ -35,6 +35,13 @@ type Instance struct {
 	// curNode is the node currently launched on the instance (nil when
 	// idle), tracked so instance death can strand it for the watchdog.
 	curNode *graph.Node
+	// compPart and compDur are curNode's output partition and compute
+	// time while its compute phase runs; compFn, the bound computeDone,
+	// completes it. An instance computes one node at a time: a transient
+	// failure still completes the event, and death cancels it.
+	compPart int
+	compDur  sim.Time
+	compFn   func()
 
 	dmaQueue []*dmaJob // queued jobs, dmaQueue[dmaHead:] live
 	dmaHead  int
@@ -87,6 +94,7 @@ type dmaJob struct {
 
 func newInstance(m *Manager, index int, kind accel.Kind, partitions int) *Instance {
 	inst := &Instance{m: m, Index: index, Kind: kind}
+	inst.compFn = inst.computeDone
 	for i := 0; i < partitions; i++ {
 		inst.Parts = append(inst.Parts, &OutBuf{})
 	}
@@ -380,7 +388,7 @@ func (m *Manager) inputDone(n *graph.Node, inst *Instance, part int, att int) {
 	if n.DAG.Aborted {
 		// The DAG was cancelled while inputs streamed in: release the
 		// accelerator, run nothing.
-		m.isr(func() sim.Time {
+		m.isrWork(func() sim.Time {
 			inst.Busy = false
 			inst.curNode = nil
 			return 0
@@ -411,7 +419,14 @@ func (m *Manager) inputDone(n *graph.Node, inst *Instance, part int, att int) {
 		m.cfg.Trace.End(trace.TaskInput, n.String(), inst.Lane(), m.k.Now())
 		m.cfg.Trace.Span(trace.TaskCompute, n.String(), inst.Lane(), m.k.Now(), m.k.Now()+dur, nil)
 	}
-	ns.compEv = m.k.Schedule(dur, func() { m.complete(n, inst, part, dur) })
+	inst.compPart, inst.compDur = part, dur
+	ns.compEv = m.k.Schedule(dur, inst.compFn)
+}
+
+// computeDone is the compute-completion event of the instance's current
+// node.
+func (inst *Instance) computeDone() {
+	inst.m.complete(inst.curNode, inst, inst.compPart, inst.compDur)
 }
 
 // jitteredCompute applies the deterministic per-task compute-time variation.
@@ -451,7 +466,7 @@ func (m *Manager) complete(n *graph.Node, inst *Instance, part int, computeDur s
 	m.disarmWatchdog(ns)
 	inst.curNode = nil
 	if n.DAG.Aborted {
-		m.isr(func() sim.Time {
+		m.isrWork(func() sim.Time {
 			inst.Busy = false
 			return 0
 		})
@@ -473,59 +488,61 @@ func (m *Manager) complete(n *graph.Node, inst *Instance, part int, computeDur s
 	inst.LastNode = n
 	m.st.PredErr.ObserveCompute(n.Compute, computeDur)
 
-	var newlyReady []*graph.Node
+	r := m.newISR()
+	r.n, r.inst = n, inst
 	for _, c := range n.Children {
 		c.CompletedParents++
 		if c.CompletedParents == len(c.Parents) {
 			c.ReadyAt = m.k.Now()
-			newlyReady = append(newlyReady, c)
+			r.ready = append(r.ready, c)
+		}
+	}
+	m.isr(r)
+}
+
+// completionISR is the interrupt handler of a completion record: enqueue
+// the children the node made ready, possibly escalating them, and make the
+// write-back decision. It returns the modeled scheduler cost.
+func (m *Manager) completionISR(r *isrRec) sim.Time {
+	n, inst, ready := r.n, r.inst, r.ready
+	// The finishing accelerator is idle from the scheduler's point of
+	// view: its instance count participates in max_forwards and in the
+	// next-in-line write-back test.
+	inst.Busy = false
+	var cost sim.Time
+	if m.esc != nil && len(ready) > 0 {
+		for _, c := range ready {
+			m.preparePrediction(c)
+		}
+		scanned := m.esc.EnqueueReady(m.qptrs, ready, m.idleFn, m.k.Now())
+		c := m.cfg.SchedBase + m.cfg.SchedPerFwd + m.cfg.SchedPerScan*sim.Time(scanned/len(ready))
+		for range ready {
+			m.st.ObserveSched(c)
+			if m.metSchedCost != nil {
+				m.metSchedCost.Observe(c.Microseconds())
+			}
+			cost += c
+		}
+	} else {
+		for _, c := range ready {
+			cost += m.insertPlain(c)
 		}
 	}
 
-	m.isr(func() sim.Time {
-		// The finishing accelerator is idle from the scheduler's point of
-		// view: its instance count participates in max_forwards and in the
-		// next-in-line write-back test.
-		inst.Busy = false
-		var cost sim.Time
-		if m.esc != nil && len(newlyReady) > 0 {
-			for _, c := range newlyReady {
-				m.preparePrediction(c)
-			}
-			scanned, _ := m.esc.EnqueueReady(m.qptrs, newlyReady, m.idleCount, m.k.Now())
-			per := m.cfg.SchedPerFwd
-			if len(newlyReady) > 0 {
-				per += m.cfg.SchedPerScan * sim.Time(scanned/len(newlyReady))
-			}
-			for range newlyReady {
-				c := m.cfg.SchedBase + per
-				m.st.ObserveSched(c)
-				if m.metSchedCost != nil {
-					m.metSchedCost.Observe(c.Microseconds())
-				}
-				cost += c
-			}
-		} else {
-			for _, c := range newlyReady {
-				cost += m.insertPlain(c)
-			}
-		}
-
-		// Write-back decision (paper §III-C2 manager runtime): leaves
-		// always write back (the final output must reach main memory);
-		// intermediates write back immediately unless every child is next
-		// in line for execution.
-		switch {
-		case n.IsLeaf():
-			m.startWriteback(n, inst, true)
-		case m.cfg.AlwaysWriteBack || m.cfg.DisableForwarding || !m.allChildrenNextInLine(n):
-			m.startWriteback(n, inst, false)
-			m.finishNode(n)
-		default:
-			m.finishNode(n)
-		}
-		return cost
-	})
+	// Write-back decision (paper §III-C2 manager runtime): leaves always
+	// write back (the final output must reach main memory); intermediates
+	// write back immediately unless every child is next in line for
+	// execution.
+	switch {
+	case n.IsLeaf():
+		m.startWriteback(n, inst, true)
+	case m.cfg.AlwaysWriteBack || m.cfg.DisableForwarding || !m.allChildrenNextInLine(n):
+		m.startWriteback(n, inst, false)
+		m.finishNode(n)
+	default:
+		m.finishNode(n)
+	}
+	return cost
 }
 
 // allChildrenNextInLine reports whether every child of n sits within the

@@ -161,6 +161,28 @@ type Manager struct {
 	metSchedCost *metrics.Histogram
 	metDMAXfer   *metrics.Histogram
 	metDMAStall  *metrics.Histogram
+
+	// Callbacks bound once, so scheduling them builds no method value, and
+	// the free list of interrupt records (see isrRec).
+	launchFn func()
+	idleFn   func(kind int) int
+	isrFree  *isrRec
+}
+
+// isrRec is one pending manager interrupt. Records are recycled through
+// the manager's free list, so servicing a node completion builds no
+// closure: a completion record carries the finished node, its instance and
+// the children it made ready. Rarer interrupts (release, recovery, abort)
+// carry their handler in work instead.
+type isrRec struct {
+	m     *Manager
+	n     *graph.Node     // completion: the finished node
+	inst  *Instance       // completion: the instance that ran it
+	ready []*graph.Node   // completion: children made ready; reused
+	work  func() sim.Time // non-completion handler, nil for a completion
+
+	deferFn  func() // bound resume: re-raises the record once the core is free
+	freeNext *isrRec
 }
 
 // nodeState is per-node forwarding bookkeeping (paper Table III/IV fields).
@@ -261,6 +283,8 @@ func newManager(k *sim.Kernel, cfg Config, st *stats.Stats, resumeAt sim.Time) *
 		policy:   cfg.Policy,
 		resumeAt: resumeAt,
 	}
+	m.launchFn = m.launchPass
+	m.idleFn = m.idleCount
 	if e, ok := cfg.Policy.(sched.Escalator); ok {
 		m.esc = e
 	}
@@ -315,6 +339,8 @@ func (m *Manager) Predictor() *predict.Runtime { return m.pred }
 func (m *Manager) state(n *graph.Node) *nodeState { return n.Ext.(*nodeState) }
 
 // idleCount reports the number of idle (and live) instances of a kind.
+//
+//relief:hotpath
 func (m *Manager) idleCount(kind int) int {
 	c := 0
 	for _, inst := range m.byKind[kind] {
@@ -440,7 +466,7 @@ func (m *Manager) release(d *graph.DAG) {
 		}
 	}
 	roots := d.Roots()
-	m.isr(func() sim.Time {
+	m.isrWork(func() sim.Time {
 		var cost sim.Time
 		for _, n := range roots {
 			n.ReadyAt = m.k.Now()
@@ -478,34 +504,71 @@ func (m *Manager) preparePrediction(n *graph.Node) {
 	n.Laxity = n.Deadline - n.PredRuntime
 }
 
-// isr serialises manager work on the microcontroller: the handler runs when
-// the manager core is free, its modeled cost keeps the core busy, and the
-// launch pass (driver invocations) happens once the cost has elapsed.
-func (m *Manager) isr(work func() sim.Time) {
+// newISR returns an interrupt record from the free list, allocating one
+// only when every record is pending.
+func (m *Manager) newISR() *isrRec {
+	r := m.isrFree
+	if r == nil {
+		r = &isrRec{m: m}
+		r.deferFn = r.resume
+		return r
+	}
+	m.isrFree = r.freeNext
+	r.freeNext = nil
+	return r
+}
+
+func (r *isrRec) resume() { r.m.isr(r) }
+
+// isrWork raises an interrupt whose handler is work.
+func (m *Manager) isrWork(work func() sim.Time) {
+	r := m.newISR()
+	r.work = work
+	m.isr(r)
+}
+
+// isr serialises manager work on the microcontroller: the record's handler
+// runs when the manager core is free, its modeled cost keeps the core busy,
+// and the launch pass (driver invocations) happens once the cost has
+// elapsed. The record returns to the free list once handled.
+func (m *Manager) isr(r *isrRec) {
 	now := m.k.Now()
 	if now < m.freeAt {
-		m.k.At(m.freeAt, func() { m.isr(work) })
+		m.k.At(m.freeAt, r.deferFn)
 		return
 	}
-	cost := work()
+	var cost sim.Time
+	if r.work != nil {
+		cost = r.work()
+	} else {
+		cost = m.completionISR(r)
+	}
+	clear(r.ready)
+	r.n, r.inst, r.ready, r.work = nil, nil, r.ready[:0], nil
+	r.freeNext = m.isrFree
+	m.isrFree = r
 	if cost < m.cfg.SchedBase {
 		cost = m.cfg.SchedBase
 	}
 	m.freeAt = now + cost
 	m.cfg.Trace.Span(trace.Schedule, "isr", "manager", now, m.freeAt, nil)
-	m.k.At(m.freeAt, m.launchPass)
+	m.k.At(m.freeAt, m.launchFn)
 }
 
-// launchPass pops ready-queue heads onto idle accelerators.
+// launchPass pops ready-queue heads onto idle accelerators. A pop shifts
+// the queue down in place, so later insertions reuse its backing array.
 func (m *Manager) launchPass() {
 	for kind := range m.queues {
 		for len(m.queues[kind]) > 0 {
-			n := m.queues[kind][0]
+			q := m.queues[kind]
+			n := q[0]
 			inst := m.pickInstance(kind, n)
 			if inst == nil {
 				break
 			}
-			m.queues[kind] = m.queues[kind][1:]
+			copy(q, q[1:])
+			q[len(q)-1] = nil
+			m.queues[kind] = q[:len(q)-1]
 			m.launch(n, inst)
 		}
 	}

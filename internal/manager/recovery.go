@@ -135,7 +135,7 @@ func (m *Manager) recover(n *graph.Node, inst *Instance, cause string) {
 	m.disarmWatchdog(ns)
 	now := m.k.Now()
 	freeInst := func() {
-		m.isr(func() sim.Time {
+		m.isrWork(func() sim.Time {
 			inst.Busy = false
 			if inst.curNode == n {
 				inst.curNode = nil
@@ -202,7 +202,7 @@ func (m *Manager) recover(n *graph.Node, inst *Instance, cause string) {
 		ns.gateFired = false
 		ns.hung = false
 		ns.verdict = fault.VerdictNone
-		m.isr(func() sim.Time { return m.insertPlain(n) })
+		m.isrWork(func() sim.Time { return m.insertPlain(n) })
 	})
 }
 
@@ -301,7 +301,7 @@ func (m *Manager) abortDAG(d *graph.DAG, reason string) {
 		}
 	}
 	if freed {
-		m.isr(func() sim.Time { return 0 })
+		m.isrWork(func() sim.Time { return 0 })
 	}
 }
 

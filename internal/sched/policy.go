@@ -34,11 +34,12 @@ type Policy interface {
 type Escalator interface {
 	Policy
 	// EnqueueReady places the newly ready children of a finishing node into
-	// the ready queues, possibly escalating them to queue fronts. queues
-	// maps accelerator kind to its ready queue; idle reports the number of
-	// idle instances per kind. It returns the total queue entries scanned
-	// (for latency modeling) and the set of escalated nodes.
-	EnqueueReady(queues Queues, ready []*graph.Node, idle func(k int) int, now sim.Time) (scanned int, escalated []*graph.Node)
+	// the ready queues, possibly escalating them to queue fronts and
+	// setting IsFwd on those it escalates. queues maps accelerator kind to
+	// its ready queue; idle reports the number of idle instances per kind.
+	// It may reorder ready. It returns the total queue entries scanned, for
+	// latency modeling.
+	EnqueueReady(queues Queues, ready []*graph.Node, idle func(k int) int, now sim.Time) (scanned int)
 }
 
 // Queues is the manager's per-accelerator-kind ready queues, indexed by
@@ -46,6 +47,8 @@ type Escalator interface {
 type Queues []*[]*graph.Node
 
 // Insert places n at position pos within q.
+//
+//relief:hotpath
 func Insert(q *[]*graph.Node, n *graph.Node, pos int) {
 	s := *q
 	if pos < 0 {
@@ -54,7 +57,7 @@ func Insert(q *[]*graph.Node, n *graph.Node, pos int) {
 	if pos > len(s) {
 		pos = len(s)
 	}
-	s = append(s, nil)
+	s = append(s, nil) //lint:allow hotalloc the queue grows only to its peak depth; pops shift in place and keep the array
 	copy(s[pos+1:], s[pos:])
 	s[pos] = n
 	*q = s

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"relief/internal/accel"
 	"relief/internal/graph"
@@ -80,17 +81,33 @@ const (
 	weightBytes = 128 * 128 * 4 // one 128x128 weight matrix, DRAM-resident
 )
 
-// Build constructs a fresh instance of the application's DAG, finalized and
-// ready for submission.
+// templates holds each application's finalized DAG, built once per
+// process on first use and never submitted: Build hands out clones.
+var templates [NumApps]struct {
+	once sync.Once
+	d    *graph.DAG
+	err  error
+}
+
+// Build returns a new, unsubmitted copy of the application's DAG, finalized
+// and ready for submission. The copy is a Clone of a per-application
+// template built once per process, so it shares no memory with any other
+// Build result and costs five allocations.
 func Build(a App) (*graph.DAG, error) {
-	d, err := buildRaw(a)
-	if err != nil {
-		return nil, err
+	if a < 0 || a >= NumApps {
+		return nil, fmt.Errorf("workload: unknown app %d", a)
 	}
-	if err := d.Finalize(); err != nil {
-		return nil, err
+	t := &templates[a]
+	t.once.Do(func() {
+		t.d, t.err = buildRaw(a)
+		if t.err == nil {
+			t.err = t.d.Finalize()
+		}
+	})
+	if t.err != nil {
+		return nil, t.err
 	}
-	return d, nil
+	return t.d.Clone(), nil
 }
 
 // MustBuild is Build for statically known-valid applications; it panics on

@@ -58,12 +58,14 @@ go test -race -short $(go list ./... | grep -v -e '^relief/internal/serve' -e '^
 echo "== bench smoke"
 # One iteration of the Fig. 4 grid, gated on its allocation count, which is
 # deterministic to within a few dozen objects at any GOMAXPROCS. The
-# ceiling sits about 10% above the 805,4xx allocs/op measured once the
-# manager's per-node state moved onto the nodes, one slice per released
-# DAG (914,881 with a map entry per node; 5,391,296 before DMA transfer,
-# claim and job records were recycled), so a change that brings back
-# per-node or per-transfer allocation fails here.
-fig4_alloc_ceiling=886000
+# ceiling sits about 10% above the 86,1xx allocs/op measured once each
+# app's DAG was built once per process and node completions ran through
+# recycled interrupt records (805,4xx with a build per scenario and a
+# closure per completion; 914,881 with a map entry per node; 5,391,296
+# before DMA transfer, claim and job records were recycled), so a change
+# that brings back per-scenario builds or per-node, per-completion or
+# per-transfer allocation fails here.
+fig4_alloc_ceiling=95000
 go test -run '^$' -bench 'BenchmarkFig4$' -benchtime=1x -benchmem . >"$tmp/fig4.txt"
 cat "$tmp/fig4.txt"
 fig4_allocs="$(awk '/^BenchmarkFig4/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }' "$tmp/fig4.txt")"
@@ -72,12 +74,15 @@ if [ "$fig4_allocs" -gt "$fig4_alloc_ceiling" ]; then
 	echo "BenchmarkFig4: $fig4_allocs allocs/op exceeds the ceiling $fig4_alloc_ceiling" >&2
 	exit 1
 fi
-# One continuous-contention CGL scenario, gated the same way. Every
-# iteration after an app's first is a clone of its one build, and its
-# manager state is one slice; the ceiling sits about 10% above the 15,94x
-# allocs/op measured then (17,92x with a map entry per node, 32,22x when
-# each iteration rebuilt its DAG), so a return to either fails here.
-cont_alloc_ceiling=17500
+# One continuous-contention CGL scenario, gated the same way; the
+# benchmark builds the per-process app templates in an untimed first run.
+# Every iteration is a clone of its app's template, its manager state is
+# one slice, and completions allocate nothing; the ceiling sits about 10%
+# above the 640 allocs/op measured then (15,94x with a build per scenario
+# and a closure per completion, 17,92x with a map entry per node, 32,22x
+# when each iteration rebuilt its DAG), so a return to any of them fails
+# here.
+cont_alloc_ceiling=710
 go test -run '^$' -bench 'BenchmarkScenarioContinuous$' -benchtime=1x -benchmem . >"$tmp/cont.txt"
 cat "$tmp/cont.txt"
 cont_allocs="$(awk '/^BenchmarkScenarioContinuous/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }' "$tmp/cont.txt")"
