@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+
+	"relief/internal/workload"
 )
 
 // goldenMainGridDigest locks the simulation results of the full main
@@ -82,5 +84,61 @@ func TestGoldenMainGridDeterminism(t *testing.T) {
 		t.Fatalf("main-grid digest diverged from the pre-optimization simulator:\n got %s\nwant %s\n"+
 			"simulation results changed — this is a correctness regression, not a new baseline",
 			got, goldenMainGridDigest)
+	}
+}
+
+// goldenDetailedDRAMDigest locks the results of the detailed-DRAM grid
+// that the sweep benchmark runs: every high-contention mix under RELIEF,
+// FCFS, LAX and GEDF-D, on the bank-level controller under FR-FCFS, under
+// FCFS and with two FR-FCFS channels. The main grid runs no DRAM
+// controller, so this digest is the one that covers its queueing and
+// batching. Each line adds the row-hit rate's bits and the kernel's event
+// count, so a controller change that keeps the results but fires
+// different events fails here too.
+const goldenDetailedDRAMDigest = "e9d3cfaa627131bd4df6f8a7a58ed784c284f5ddb79da3ca6436461887123920"
+
+// detailedDRAMGrid returns the cells goldenDetailedDRAMDigest covers.
+func detailedDRAMGrid() []Scenario {
+	var grid []Scenario
+	for _, plat := range []PlatformSpec{
+		{DetailedDRAM: true},
+		{DetailedDRAM: true, DRAMPolicy: "fcfs"},
+		{DetailedDRAM: true, DRAMChannels: 2},
+	} {
+		for _, mix := range workload.Mixes(workload.High) {
+			for _, p := range []string{"RELIEF", "FCFS", "LAX", "GEDF-D"} {
+				grid = append(grid, Scenario{Mix: mix, Contention: workload.High, Policy: p, Platform: plat})
+			}
+		}
+	}
+	return grid
+}
+
+// TestGoldenDetailedDRAMDeterminism regenerates the detailed-DRAM grid and
+// compares a digest of every cell against the locked value.
+func TestGoldenDetailedDRAMDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("detailed-DRAM grid in -short mode")
+	}
+	grid := detailedDRAMGrid()
+	s := NewSweep()
+	s.Warm(grid, runtime.GOMAXPROCS(0))
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, sc := range grid {
+		r, err := s.Get(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "dram=%q ch=%d rh=%016x ev=%d %s", sc.Platform.DRAMPolicy, sc.Platform.DRAMChannels,
+			math.Float64bits(r.RowHitRate), r.Stats.EventsFired, scenarioDigestLine(sc, r))
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	if got != goldenDetailedDRAMDigest {
+		t.Fatalf("detailed-DRAM digest diverged:\n got %s\nwant %s\n"+
+			"simulation results changed — this is a correctness regression, not a new baseline",
+			got, goldenDetailedDRAMDigest)
 	}
 }
