@@ -102,6 +102,9 @@ type Controller struct {
 
 	bytes int64
 
+	// free holds request records whose done has returned, for reuse.
+	free []*request
+
 	// Stats.
 	RowHits, RowMisses int64
 	Refreshes          int64
@@ -117,17 +120,20 @@ type Controller struct {
 // can occur). Disabled only by the reference oracle test.
 var burstRuns = true
 
-// channel is one independent data bus with its own banks. The burst queue
-// is a slice with a head offset: FR-FCFS removes from within the first
-// WindowBursts entries, so extraction shifts at most a window's worth of
-// elements instead of re-slicing the whole queue (which would be
-// quadratic under deep backlogs). Bursts are stored by value: a 4 KiB DMA
-// chunk decomposes into 64 of them, so pointer-per-burst allocation would
-// dominate the controller's cost.
+// channel is one independent data bus with its own banks. Its queue holds
+// page segments, not bursts: a 4 KiB DMA chunk is 64 bursts but only two
+// or three segments, so enqueueing, window scans and removal cost per
+// page touched rather than per 64 bytes. The queue is a slice with a head
+// offset: FR-FCFS removes from within the scheduling window, so removal
+// shifts at most a window's worth of entries instead of re-slicing the
+// whole queue (which would be quadratic under deep backlogs). bursts
+// counts the bursts queued in queue[head:], the unit QueueLen and the
+// FR-FCFS window are measured in.
 type channel struct {
 	idx         int
-	queue       []burst
+	queue       []segment
 	head        int
+	bursts      int
 	banks       []bank
 	serving     bool
 	busyAcc     sim.Time
@@ -143,28 +149,44 @@ type channel struct {
 	hop     func()
 }
 
-func (ch *channel) pending() int { return len(ch.queue) - ch.head }
+// push appends a segment of n bursts.
+func (ch *channel) push(s segment, n int32) {
+	s.n = n
+	ch.queue = append(ch.queue, s)
+	ch.bursts += int(n)
+}
 
-// take removes and returns the burst at absolute index i (i >= ch.head),
-// shifting the [head, i) prefix right by one. Cost is O(i-head), bounded
-// by the scheduling window.
+// consume removes the first n bursts of the segment at absolute index i
+// (i >= ch.head). A segment left empty is removed by shifting the
+// [head, i) prefix right by one, so the cost is O(i-head), bounded by the
+// scheduling window.
 //
 //relief:hotpath
-func (ch *channel) take(i int) burst {
-	b := ch.queue[i]
+func (ch *channel) consume(i, n int) {
+	ch.bursts -= n
+	s := &ch.queue[i]
+	if int(s.n) > n {
+		s.n -= int32(n)
+		s.extra = 0 // charged to the request's first burst only
+		return
+	}
 	copy(ch.queue[ch.head+1:i+1], ch.queue[ch.head:i])
-	ch.queue[ch.head] = burst{} // drop the request pointer for GC
+	ch.queue[ch.head] = segment{} // drop the request pointer for GC
 	ch.head++
-	// Compact once the dead prefix dominates, to bound memory.
-	if ch.head > 1024 && ch.head*2 > len(ch.queue) {
-		n := copy(ch.queue, ch.queue[ch.head:])
-		for j := n; j < len(ch.queue); j++ {
-			ch.queue[j] = burst{}
+	switch {
+	case ch.head == len(ch.queue):
+		// Drained: appends reuse the array from its start.
+		ch.queue = ch.queue[:0]
+		ch.head = 0
+	case ch.head > 1024 && ch.head*2 > len(ch.queue):
+		// Compact once the dead prefix dominates, to bound memory.
+		m := copy(ch.queue, ch.queue[ch.head:])
+		for j := m; j < len(ch.queue); j++ {
+			ch.queue[j] = segment{}
 		}
-		ch.queue = ch.queue[:n]
+		ch.queue = ch.queue[:m]
 		ch.head = 0
 	}
-	return b
 }
 
 type bank struct {
@@ -172,13 +194,18 @@ type bank struct {
 	valid   bool
 }
 
-type burst struct {
-	bank, row int64
-	req       *request
+// segment is n consecutive bursts of one request that fall in one page,
+// so they share a channel, bank and row. Bursts leave a segment from its
+// front, so the bursts still queued stay consecutive.
+type segment struct {
+	row  int64
+	req  *request
+	bank int32
+	n    int32
 	// extra is an injected transient-error stall (fault injection),
-	// carried on the request's first burst. It is part of the queued
-	// burst's own service cost, so virtual runs price it identically
-	// whether the burst resolves ahead of time or at real time.
+	// carried by the request's first burst. It is part of that burst's own
+	// service cost, so virtual runs price it identically whether the
+	// burst resolves ahead of time or at real time.
 	extra sim.Time
 }
 
@@ -188,7 +215,8 @@ type burst struct {
 // channel's unresolved bursts (safe to decrement virtually), and
 // outstanding counts channels whose share is still open — it is only
 // decremented by the real run-completion event, so done fires at the true
-// service time of the request's last burst.
+// service time of the request's last burst. Records are recycled through
+// the controller's free list once done has returned.
 type request struct {
 	shares      []int32
 	outstanding int32
@@ -220,6 +248,8 @@ func NewController(k *sim.Kernel, name string, cfg Config) *Controller {
 				f.outstanding--
 				if f.outstanding == 0 {
 					f.done()
+					f.done = nil
+					c.free = append(c.free, f)
 				}
 			}
 			c.serve(ch)
@@ -269,7 +299,7 @@ func (c *Controller) BytesServed() int64 { return c.bytes }
 func (c *Controller) QueueLen() int {
 	n := 0
 	for _, ch := range c.channels {
-		n += ch.pending()
+		n += ch.bursts
 	}
 	return n
 }
@@ -278,7 +308,7 @@ func (c *Controller) QueueLen() int {
 func (c *Controller) Channels() int { return len(c.channels) }
 
 // ChannelQueueLen reports the bursts queued on channel i.
-func (c *Controller) ChannelQueueLen(i int) int { return c.channels[i].pending() }
+func (c *Controller) ChannelQueueLen(i int) int { return c.channels[i].bursts }
 
 // ChannelBusyTime returns channel i's cumulative data-bus busy time,
 // including the open serving period — the numerator of the channel's
@@ -308,7 +338,7 @@ func (c *Controller) SetFault(fn func(n int64) sim.Time) { c.fault = fn }
 
 // Enqueue implements mem.Server: the request is laid out at the next
 // contiguous synthetic addresses (each DMA chunk is a contiguous buffer
-// slice) and decomposed into bursts.
+// slice), decomposed into bursts, and queued as one segment per page.
 func (c *Controller) Enqueue(n int64, done func()) {
 	if n <= 0 {
 		c.k.Schedule(0, done)
@@ -320,44 +350,77 @@ func (c *Controller) Enqueue(n int64, done func()) {
 	if c.fault != nil {
 		extra = c.fault(n)
 	}
-	nBursts := int((n + c.cfg.BurstBytes - 1) / c.cfg.BurstBytes)
-	req := &request{shares: make([]int32, len(c.channels)), done: done}
+	nBursts := (n + c.cfg.BurstBytes - 1) / c.cfg.BurstBytes
+	req := c.newRequest(done)
 	nCh := int64(len(c.channels))
 	// Shares must be fully counted before any channel starts serving: the
 	// first append below can kick off a virtual run that resolves bursts
 	// immediately.
-	for i := 0; i < nBursts; i++ {
-		page := (base + int64(i)*c.cfg.BurstBytes) / c.cfg.PageBytes
-		req.shares[page%nCh]++
+	for i := int64(0); i < nBursts; {
+		page, next := c.pageRun(base, i, nBursts)
+		req.shares[page%nCh] += int32(next - i)
+		i = next
 	}
 	for _, s := range req.shares {
 		if s > 0 {
 			req.outstanding++
 		}
 	}
-	for i := 0; i < nBursts; i++ {
-		addr := base + int64(i)*c.cfg.BurstBytes
-		page := addr / c.cfg.PageBytes
-		chIdx := page % nCh
+	for i := int64(0); i < nBursts; {
+		page, next := c.pageRun(base, i, nBursts)
 		pageInCh := page / nCh
-		ch := c.channels[chIdx]
-		b := burst{
-			bank: pageInCh % int64(c.cfg.Banks),
+		ch := c.channels[page%nCh]
+		s := segment{
+			bank: int32(pageInCh % int64(c.cfg.Banks)),
 			row:  pageInCh / int64(c.cfg.Banks),
 			req:  req,
 		}
 		if i == 0 {
-			b.extra = extra
+			s.extra = extra
 		}
-		ch.queue = append(ch.queue, b)
+		segBursts := int32(next - i)
 		if !ch.serving {
+			// An idle channel starts serving with only the segment's first
+			// burst queued, as when bursts arrived one at a time: the rest
+			// joins the queue after the kick-off run is planned, so that run
+			// ends after one burst and its events match the per-burst queue.
+			ch.push(s, 1)
 			ch.serving = true
 			ch.busySince = c.k.Now()
 			c.catchUpRefresh(ch)
 			c.serve(ch)
+			s.extra = 0
+			segBursts--
 		}
+		if segBursts > 0 {
+			ch.push(s, segBursts)
+		}
+		i = next
 	}
 	c.bytes += n
+}
+
+// pageRun returns the page holding burst i of a request laid out at base,
+// and the index one past the request's last burst in that page.
+func (c *Controller) pageRun(base, i, nBursts int64) (page, next int64) {
+	b := c.cfg.BurstBytes
+	page = (base + i*b) / c.cfg.PageBytes
+	next = min(((page+1)*c.cfg.PageBytes-base+b-1)/b, nBursts)
+	return page, next
+}
+
+// newRequest takes a request record from the free list, or makes one.
+func (c *Controller) newRequest(done func()) *request {
+	var r *request
+	if n := len(c.free); n > 0 {
+		r = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		r = &request{shares: make([]int32, len(c.channels))}
+	}
+	r.done = done
+	return r
 }
 
 // catchUpRefresh advances the refresh schedule over the idle period ending
@@ -383,28 +446,31 @@ func (c *Controller) catchUpRefresh(ch *channel) {
 	}
 }
 
-// pick selects the next burst's absolute queue index per the scheduling
-// policy.
+// pick selects the absolute queue index of the segment holding the next
+// burst per the scheduling policy; that burst is the segment's first.
 //
 //relief:hotpath
 func (c *Controller) pick(ch *channel) int {
-	if ch.pending() == 0 {
+	if ch.bursts == 0 {
 		return -1
 	}
 	if c.cfg.Policy == FCFS {
 		return ch.head
 	}
 	// FR-FCFS: first row hit within the transaction window, else oldest.
-	window := ch.pending()
+	// The window counts bursts; a segment is inside it if its first burst
+	// is, and all of a segment's bursts hit or miss together.
+	window := ch.bursts
 	if c.cfg.WindowBursts > 0 && window > c.cfg.WindowBursts {
 		window = c.cfg.WindowBursts
 	}
-	for i := ch.head; i < ch.head+window; i++ {
-		b := ch.queue[i]
-		bk := &ch.banks[b.bank]
-		if bk.valid && bk.openRow == b.row {
+	for i, seen := ch.head, 0; seen < window; i++ {
+		s := &ch.queue[i]
+		bk := &ch.banks[s.bank]
+		if bk.valid && bk.openRow == s.row {
 			return i
 		}
+		seen += int(s.n)
 	}
 	return ch.head
 }
@@ -420,6 +486,12 @@ func (c *Controller) pick(ch *channel) int {
 // first request completion (its done callback can enqueue new work) or at
 // the first pick an arrival could win (an FR-FCFS fallback-to-oldest, or a
 // drained queue); a single event then materializes the run's outcome.
+//
+// With burst runs on, a picked segment is served whole: once one of its
+// bursts is served its row is open, and no other bank's row changes, so
+// it stays the window's first row hit until it is empty. The cost is
+// still charged burst by burst, since a refresh boundary can fall inside
+// the segment.
 //
 //relief:hotpath
 func (c *Controller) serve(ch *channel) {
@@ -449,40 +521,50 @@ func (c *Controller) serve(ch *channel) {
 				break
 			}
 		}
-		lastPick = vnow
-		b := ch.take(i)
-		cost := c.cfg.TBurst + c.cfg.TGap + b.extra
-		// Refresh: when traffic crosses a tREFI boundary, the channel
-		// stalls for tRFC and every row closes. Idle periods advance the
-		// schedule without cost (rows would be cold anyway). As in the
-		// reference, the boundary check happens after the pick, so an
-		// overdue refresh can turn a picked "hit" into a charged miss.
-		if c.cfg.TREFI > 0 {
-			for ch.nextRefresh <= vnow {
-				ch.nextRefresh += c.cfg.TREFI
-				cost += c.cfg.TRFC
-				c.Refreshes++
-				for j := range ch.banks {
-					ch.banks[j].valid = false
+		s := &ch.queue[i]
+		req, row, extra := s.req, s.row, s.extra
+		bk := &ch.banks[s.bank]
+		n := 1
+		if burstRuns {
+			n = int(s.n)
+		}
+		for range n {
+			lastPick = vnow
+			cost := c.cfg.TBurst + c.cfg.TGap + extra
+			extra = 0
+			// Refresh: when traffic crosses a tREFI boundary, the channel
+			// stalls for tRFC and every row closes. Idle periods advance
+			// the schedule without cost (rows would be cold anyway). As in
+			// the reference, the boundary check happens after the pick, so
+			// an overdue refresh can turn a picked "hit" into a charged
+			// miss.
+			if c.cfg.TREFI > 0 {
+				for ch.nextRefresh <= vnow {
+					ch.nextRefresh += c.cfg.TREFI
+					cost += c.cfg.TRFC
+					c.Refreshes++
+					for j := range ch.banks {
+						ch.banks[j].valid = false
+					}
 				}
 			}
-		}
-		bk := &ch.banks[b.bank]
-		if !bk.valid || bk.openRow != b.row {
-			if bk.valid {
-				cost += c.cfg.TRP // precharge the open row
+			if !bk.valid || bk.openRow != row {
+				if bk.valid {
+					cost += c.cfg.TRP // precharge the open row
+				}
+				cost += c.cfg.TRCD // activate the new row
+				bk.openRow = row
+				bk.valid = true
+				c.RowMisses++
+			} else {
+				c.RowHits++
 			}
-			cost += c.cfg.TRCD // activate the new row
-			bk.openRow = b.row
-			bk.valid = true
-			c.RowMisses++
-		} else {
-			c.RowHits++
+			vnow += cost
 		}
-		vnow += cost
-		b.req.shares[ch.idx]--
-		if b.req.shares[ch.idx] == 0 {
-			ch.fin = b.req
+		ch.consume(i, n)
+		req.shares[ch.idx] -= int32(n)
+		if req.shares[ch.idx] == 0 {
+			ch.fin = req
 			break
 		}
 		if !burstRuns {

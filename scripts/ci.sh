@@ -2,9 +2,10 @@
 # CI gate: build, vet, relief-lint (the project's own static-analysis
 # suite, see docs/LINTING.md), optional third-party linters, full test
 # suite (including the golden main-grid determinism digest), the race
-# detector, allocation ceilings on one BenchmarkFig4 and one
-# BenchmarkScenarioContinuous iteration (each about 10% above its
-# measured count and below the count of the design before it), vet and
+# detector, allocation ceilings on one BenchmarkFig4, one
+# BenchmarkScenarioContinuous and one BenchmarkDRAMStudy iteration (each
+# about 10% above its measured count and below the count of the design
+# before it), vet and
 # tests of the benchmark
 # module (benchmark/, whose smoke test runs every workload once), then
 # smoke runs of the CLIs and the serving fleet.
@@ -89,6 +90,22 @@ cont_allocs="$(awk '/^BenchmarkScenarioContinuous/ { for (i = 2; i <= NF; i++) i
 test -n "$cont_allocs"
 if [ "$cont_allocs" -gt "$cont_alloc_ceiling" ]; then
 	echo "BenchmarkScenarioContinuous: $cont_allocs allocs/op exceeds the ceiling $cont_alloc_ceiling" >&2
+	exit 1
+fi
+
+# One detailed-DRAM study (the high-contention grid on the bank-level
+# controller), gated the same way. The ceiling sits about 10% above the
+# 25,8xx allocs/op measured once the controller queued page segments and
+# recycled its request records (413,5xx with one queue entry per 64-byte
+# burst and a record per request), so a return to per-burst or
+# per-request allocation fails here.
+dram_alloc_ceiling=28500
+go test -run '^$' -bench 'BenchmarkDRAMStudy$' -benchtime=1x -benchmem . >"$tmp/dram.txt"
+cat "$tmp/dram.txt"
+dram_allocs="$(awk '/^BenchmarkDRAMStudy/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }' "$tmp/dram.txt")"
+test -n "$dram_allocs"
+if [ "$dram_allocs" -gt "$dram_alloc_ceiling" ]; then
+	echo "BenchmarkDRAMStudy: $dram_allocs allocs/op exceeds the ceiling $dram_alloc_ceiling" >&2
 	exit 1
 fi
 
