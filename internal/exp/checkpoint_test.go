@@ -10,6 +10,7 @@ import (
 
 	"relief/internal/accel"
 	"relief/internal/ckpt"
+	"relief/internal/dram"
 	"relief/internal/fault"
 	"relief/internal/manager"
 	"relief/internal/metrics"
@@ -337,6 +338,50 @@ func TestCheckpointRestoreRejectsImpossibleState(t *testing.T) {
 				t.Errorf("restore error = %v, want one naming %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestCheckpointRestoreRejectsImpossibleDRAMState: DRAM controller state
+// that no quiescent capture can produce is refused with an error. Each case
+// used to restore without one. (The refresh-off bound, a non-zero next
+// refresh, has no case here: every platform runs refresh; the dram
+// package's own restore test covers it.)
+func TestCheckpointRestoreRejectsImpossibleDRAMState(t *testing.T) {
+	sc := periodicScenario(t)
+	sc.Platform.DetailedDRAM = true
+	env, err := RunToCheckpoint(context.Background(), sc, 8*sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, err := ckpt.Open(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trefi := dram.LPDDR5().TREFI
+	cases := []struct {
+		name   string
+		mutate func(*manager.Checkpoint)
+		want   string
+	}{
+		{"next refresh off the tREFI grid", func(ck *manager.Checkpoint) { ck.DRAM.Channels[0].NextRefresh += sim.Nanosecond }, "multiple of tREFI"},
+		{"next refresh past capture", func(ck *manager.Checkpoint) {
+			ck.DRAM.Channels[0].NextRefresh = (ck.CapturedAt/trefi + 2) * trefi
+		}, "past the capture"},
+		{"open row beyond cursor", func(ck *manager.Checkpoint) {
+			ck.DRAM.Channels[0].Banks[0] = dram.BankState{OpenRow: 1 << 40, Valid: true}
+		}, "last the cursor has addressed"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bad := resealCheckpoint(t, opened, c.mutate)
+			if _, err := RunFromCheckpoint(context.Background(), sc, bad); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("restore error = %v, want one naming %q", err, c.want)
+			}
+		})
+	}
+	// The unaltered checkpoint still restores.
+	if _, err := RunFromCheckpoint(context.Background(), sc, opened); err != nil {
+		t.Errorf("restoring the captured checkpoint: %v", err)
 	}
 }
 

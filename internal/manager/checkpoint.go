@@ -267,7 +267,7 @@ func Restore(k *sim.Kernel, cfg Config, data []byte) (*Manager, *stats.Stats, er
 		return nil, nil, fmt.Errorf("manager: restore DRAM model mismatch with checkpoint")
 	}
 	if m.dram != nil {
-		if err := m.dram.RestoreState(*ck.DRAM); err != nil {
+		if err := m.dram.RestoreState(*ck.DRAM, ck.CapturedAt); err != nil {
 			return nil, nil, err
 		}
 	}
