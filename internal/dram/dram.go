@@ -117,7 +117,8 @@ type Controller struct {
 // exactly; the one relaxation is cross-channel: two requests completing at
 // the same tick on different channels may deliver their callbacks in
 // either order (the paper platform is single-channel, where no such tie
-// can occur). Disabled only by the reference oracle test.
+// can occur). Disabled only by tests that compare against per-burst
+// serving.
 var burstRuns = true
 
 // channel is one independent data bus with its own banks. Its queue holds
@@ -381,9 +382,9 @@ func (c *Controller) Enqueue(n int64, done func()) {
 		segBursts := int32(next - i)
 		if !ch.serving {
 			// An idle channel starts serving with only the segment's first
-			// burst queued, as when bursts arrived one at a time: the rest
-			// joins the queue after the kick-off run is planned, so that run
-			// ends after one burst and its events match the per-burst queue.
+			// burst queued, as if bursts arrived one at a time: the rest
+			// joins the queue after the kick-off run is planned, so that
+			// run ends after its first burst and fires the same events.
 			ch.push(s, 1)
 			ch.serving = true
 			ch.busySince = c.k.Now()
