@@ -108,3 +108,55 @@ func TestMetricsJSONGoldenDigest(t *testing.T) {
 			got, metricsJSONGoldenDigest, buf.String())
 	}
 }
+
+// loopingMetricsGoldenDigests lock the relief-metrics/1 JSON summary of two
+// looping runs, where every DAG iteration after the first is a clone: a
+// continuous-contention CGL mix under RELIEF, and a periodic CG mix
+// released every 5 ms until 20 ms. The probes sample scratchpad occupancy
+// while finished iterations' outputs are still resident, which the
+// single-shot golden above never sees.
+var loopingMetricsGoldenDigests = map[string]string{
+	"continuous": "2965f0dfafebd9c70ca369ef4b62a6ff0dfc0e2a9ded8677c73853f0524815f2",
+	"periodic":   "3594d039d16ba20295ec78875c2924842ab63de2429969187daa33f17c1623a4",
+}
+
+// loopingMetricsScenarios returns the cells loopingMetricsGoldenDigests
+// covers.
+func loopingMetricsScenarios(t *testing.T) map[string]Scenario {
+	t.Helper()
+	cgl, err := MixBySyms("CGL")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]Scenario{
+		"continuous": {Mix: cgl, Contention: workload.Continuous, Policy: "RELIEF"},
+		"periodic":   periodicScenario(t),
+	}
+}
+
+// metricsJSON runs sc with a fresh registry and returns its JSON summary.
+func metricsJSON(t *testing.T, sc Scenario) []byte {
+	t.Helper()
+	reg := metrics.NewRegistry()
+	sc.Metrics = reg
+	if _, err := Run(sc); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestMetricsJSONGoldenLooping(t *testing.T) {
+	for name, sc := range loopingMetricsScenarios(t) {
+		t.Run(name, func(t *testing.T) {
+			js := metricsJSON(t, sc)
+			sum := sha256.Sum256(js)
+			if got, want := hex.EncodeToString(sum[:]), loopingMetricsGoldenDigests[name]; got != want {
+				t.Fatalf("%s metrics JSON digest = %s, want %s\nfirst bytes:\n%.600s", name, got, want, js)
+			}
+		})
+	}
+}
