@@ -330,6 +330,12 @@ func TestCheckpointRestoreRejectsImpossibleState(t *testing.T) {
 		{"negative last-done", func(ck *manager.Checkpoint) { ck.LastDone = -1 }, "manager times"},
 		{"last-done after capture", func(ck *manager.Checkpoint) { ck.LastDone = math.MaxInt64 }, "manager times"},
 		{"negative compute busy", func(ck *manager.Checkpoint) { ck.Instances[0].ComputeBusy = -1 }, "compute busy"},
+		// The payload stays self-consistent, so only the envelope, whose
+		// instant the horizon check reads, disagrees with it.
+		{"capture instant other than the envelope's", func(ck *manager.Checkpoint) {
+			ck.CapturedAt += 5 * sim.Millisecond
+			ck.Kernel.Now += 5 * sim.Millisecond
+		}, "envelope"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -159,6 +159,11 @@ func RestoreSim(cfg manager.Config, env *ckpt.Envelope) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
+	// RunFromCheckpoint checks the horizon against the envelope's instant
+	// and the manager resumes at the payload's: they must be one instant.
+	if at := m.ResumedFrom(); at != sim.Time(env.CapturedPs) {
+		return nil, fmt.Errorf("exp: checkpoint payload captured at %v, its envelope says %v", at, sim.Time(env.CapturedPs))
+	}
 	return &Sim{Kernel: k, Manager: m, Stats: st}, nil
 }
 
