@@ -43,7 +43,7 @@ func (m DeadlineMode) String() string {
 // plus memory time at peak bandwidth, matching the paper's critical-path
 // analysis inputs).
 func AssignDeadlines(d *DAG, mode DeadlineMode, runtimeOf func(*Node) sim.Time) error {
-	order, err := d.TopoOrder()
+	order, err := d.topo()
 	if err != nil {
 		return err
 	}
@@ -54,22 +54,24 @@ func AssignDeadlines(d *DAG, mode DeadlineMode, runtimeOf func(*Node) sim.Time) 
 		}
 		return nil
 	case DeadlineCPM:
-		after := cpAfter(order, runtimeOf)
-		for _, n := range d.Nodes {
+		rt := runtimes(d, runtimeOf)
+		after := cpAfter(d, order, rt)
+		for i, n := range d.Nodes {
 			// Latest completion: D - (downstream critical path excluding n).
-			n.RelDeadline = d.Deadline - (after[n] - runtimeOf(n))
+			n.RelDeadline = d.Deadline - (after[i] - rt[i])
 		}
 		return nil
 	case DeadlineSDR:
-		after := cpAfter(order, runtimeOf)
-		upto := cpUpto(order, runtimeOf)
-		for _, n := range d.Nodes {
-			path := upto[n] + after[n] - runtimeOf(n) // longest path through n
+		rt := runtimes(d, runtimeOf)
+		after := cpAfter(d, order, rt)
+		upto := cpUpto(d, order, rt)
+		for i, n := range d.Nodes {
+			path := upto[i] + after[i] - rt[i] // longest path through n
 			if path <= 0 {
 				n.RelDeadline = d.Deadline
 				continue
 			}
-			sdr := float64(upto[n]) / float64(path)
+			sdr := float64(upto[i]) / float64(path)
 			n.RelDeadline = sim.Time(sdr * float64(d.Deadline))
 		}
 		return nil
@@ -77,50 +79,62 @@ func AssignDeadlines(d *DAG, mode DeadlineMode, runtimeOf func(*Node) sim.Time) 
 	return fmt.Errorf("graph: unknown deadline mode %v", mode)
 }
 
+// The critical-path tables below are indexed by node position, like the
+// order d.topo returns; an edge leads to the node at its ID's position.
+
+// runtimes evaluates runtimeOf once per node.
+func runtimes(d *DAG, runtimeOf func(*Node) sim.Time) []sim.Time {
+	rt := make([]sim.Time, len(d.Nodes))
+	for i, n := range d.Nodes {
+		rt[i] = runtimeOf(n)
+	}
+	return rt
+}
+
 // cpAfter computes, for each node, the longest runtime path from the node
 // (inclusive) to any sink.
-func cpAfter(order []*Node, runtimeOf func(*Node) sim.Time) map[*Node]sim.Time {
-	after := make(map[*Node]sim.Time, len(order))
-	for i := len(order) - 1; i >= 0; i-- {
-		n := order[i]
+func cpAfter(d *DAG, order []int, rt []sim.Time) []sim.Time {
+	after := make([]sim.Time, len(order))
+	for k := len(order) - 1; k >= 0; k-- {
+		i := order[k]
 		var best sim.Time
-		for _, c := range n.Children {
-			if after[c] > best {
-				best = after[c]
+		for _, c := range d.Nodes[i].Children {
+			if after[c.ID] > best {
+				best = after[c.ID]
 			}
 		}
-		after[n] = best + runtimeOf(n)
+		after[i] = best + rt[i]
 	}
 	return after
 }
 
 // cpUpto computes, for each node, the longest runtime path from any source
 // to the node (inclusive).
-func cpUpto(order []*Node, runtimeOf func(*Node) sim.Time) map[*Node]sim.Time {
-	upto := make(map[*Node]sim.Time, len(order))
-	for _, n := range order {
+func cpUpto(d *DAG, order []int, rt []sim.Time) []sim.Time {
+	upto := make([]sim.Time, len(order))
+	for _, i := range order {
 		var best sim.Time
-		for _, p := range n.Parents {
-			if upto[p] > best {
-				best = upto[p]
+		for _, p := range d.Nodes[i].Parents {
+			if upto[p.ID] > best {
+				best = upto[p.ID]
 			}
 		}
-		upto[n] = best + runtimeOf(n)
+		upto[i] = best + rt[i]
 	}
 	return upto
 }
 
 // CriticalPath returns the longest runtime path length in the DAG.
 func CriticalPath(d *DAG, runtimeOf func(*Node) sim.Time) (sim.Time, error) {
-	order, err := d.TopoOrder()
+	order, err := d.topo()
 	if err != nil {
 		return 0, err
 	}
-	after := cpAfter(order, runtimeOf)
+	after := cpAfter(d, order, runtimes(d, runtimeOf))
 	var best sim.Time
-	for _, n := range d.Roots() {
-		if after[n] > best {
-			best = after[n]
+	for i, n := range d.Nodes {
+		if n.IsRoot() && after[i] > best {
+			best = after[i]
 		}
 	}
 	return best, nil

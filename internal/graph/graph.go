@@ -200,21 +200,12 @@ func (d *DAG) NumEdges() int {
 // be called once after construction, before deadline assignment.
 func (d *DAG) Finalize() error {
 	for _, n := range d.Nodes {
-		for _, edges := range [2][]*Node{n.Parents, n.Children} {
-			for _, o := range edges {
-				if o.ID < 0 || o.ID >= len(d.Nodes) || d.Nodes[o.ID] != o {
-					return fmt.Errorf("graph: %s node %q has an edge to %q, which is not node %d of the DAG", d.App, n.Name, o.Name, o.ID)
-				}
-			}
-		}
 		if n.Compute == 0 {
 			n.Compute = accel.ComputeTime(n.Kind, n.Op, n.Pixels, n.FilterSize)
 		}
 	}
-	if _, err := d.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	_, err := d.topo()
+	return err
 }
 
 // Clone returns an unreleased copy of a finalized DAG's shape: App, Sym,
@@ -269,27 +260,48 @@ func (d *DAG) Clone() *DAG {
 // TopoOrder returns the nodes in a dependency-respecting order, or an error
 // if the graph has a cycle.
 func (d *DAG) TopoOrder() ([]*Node, error) {
-	indeg := make(map[*Node]int, len(d.Nodes))
-	var queue []*Node
-	for _, n := range d.Nodes {
-		indeg[n] = len(n.Parents)
-		if len(n.Parents) == 0 {
-			queue = append(queue, n)
+	pos, err := d.topo()
+	if err != nil {
+		return nil, err
+	}
+	order := make([]*Node, len(pos))
+	for i, p := range pos {
+		order[i] = d.Nodes[p]
+	}
+	return order, nil
+}
+
+// topo returns the positions in d.Nodes of a dependency-respecting order
+// (Kahn's algorithm, roots in node order). It errors unless every edge
+// leads to the node at its ID's position in d; a node with no edges may
+// carry any ID.
+func (d *DAG) topo() ([]int, error) {
+	n := len(d.Nodes)
+	buf := make([]int, 2*n)
+	indeg, order := buf[:n], buf[n:n]
+	for i, nd := range d.Nodes {
+		for _, edges := range [2][]*Node{nd.Parents, nd.Children} {
+			for _, o := range edges {
+				if o.ID < 0 || o.ID >= n || d.Nodes[o.ID] != o {
+					return nil, fmt.Errorf("graph: %s node %q has an edge to %q, which is not node %d of the DAG", d.App, nd.Name, o.Name, o.ID)
+				}
+			}
+		}
+		indeg[i] = len(nd.Parents)
+		if len(nd.Parents) == 0 {
+			order = append(order, i)
 		}
 	}
-	order := make([]*Node, 0, len(d.Nodes))
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, c := range n.Children {
-			indeg[c]--
-			if indeg[c] == 0 {
-				queue = append(queue, c)
+	// order doubles as the queue: order[head:] are ready, unexpanded nodes.
+	for head := 0; head < len(order); head++ {
+		for _, c := range d.Nodes[order[head]].Children {
+			indeg[c.ID]--
+			if indeg[c.ID] == 0 {
+				order = append(order, c.ID)
 			}
 		}
 	}
-	if len(order) != len(d.Nodes) {
+	if len(order) != n {
 		return nil, fmt.Errorf("graph: %s has a dependency cycle", d.App)
 	}
 	return order, nil
