@@ -40,6 +40,8 @@ func variants(t *testing.T) map[string]func() *graph.DAG {
 // exactly a fresh build with the same deadlines: every static field, the
 // edges with their bytes in order, and zero run-time state, including no
 // manager bookkeeping (Ext). The clone shares no memory with its source.
+// Once the run DAG is freed, the next clone reuses it and gives the same
+// copy again.
 func TestCloneMatchesBuild(t *testing.T) {
 	for name, build := range variants(t) {
 		t.Run(name, func(t *testing.T) {
@@ -66,6 +68,25 @@ func TestCloneMatchesBuild(t *testing.T) {
 					t.Fatalf("clone node %d carries the source's manager state", i)
 				}
 			}
+
+			// Freed, the run DAG is what the next clone of its shape
+			// returns, rewritten to the same copy; only its manager
+			// record (DAG.Ext) is kept, for reuse.
+			rec := src.Ext
+			if rec == nil {
+				t.Fatal("source DAG carries no manager record after its run")
+			}
+			src.Free()
+			again := got.Clone()
+			if again != src {
+				t.Fatal("Clone did not reuse the freed DAG")
+			}
+			if again.Ext != rec {
+				t.Fatal("the reused DAG lost its manager record")
+			}
+			again.Ext = nil
+			sameDAG(t, again, got.Clone())
+			src = again
 
 			before := fmt.Sprint(edgeBytes(src))
 			for _, n := range got.Nodes {
@@ -178,4 +199,65 @@ func TestFinalizeRejectsMisplacedNodes(t *testing.T) {
 		t.Fatalf("Finalize rejected a misplaced ID with no edges: %v", err)
 	}
 	sameDAG(t, loose.Clone(), loose)
+}
+
+// record is a stand-in for the manager's per-iteration record.
+type record struct{ resets int }
+
+func (r *record) Reset() { r.resets++ }
+
+// TestFreeListReuse: a freed DAG comes back from the next Clone of its
+// shape without an allocation, keeping its Ext, which Free has reset.
+// Freeing twice panics; a DAG with no free list, or any DAG while
+// recycling is off, is left to the garbage collector.
+func TestFreeListReuse(t *testing.T) {
+	d := graph.New("pair", "P", sim.Millisecond)
+	p := d.AddNode("p", accel.ElemMatrix, accel.OpAdd, 64)
+	d.AddNode("c", accel.ElemMatrix, accel.OpAdd, 64, p)
+	if err := d.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+
+	c := d.Clone()
+	rec := &record{}
+	c.Ext = rec
+	c.Nodes[1].State, c.Release = graph.Done, sim.Millisecond
+	c.Free()
+	if rec.resets != 1 {
+		t.Fatalf("Free reset the record %d times, want 1", rec.resets)
+	}
+	again := d.Clone()
+	if again != c || again.Ext != rec {
+		t.Fatal("Clone did not reuse the freed DAG and its record")
+	}
+	again.Ext = nil
+	sameDAG(t, again, d.Clone())
+
+	if allocs := testing.AllocsPerRun(20, func() { d.Clone().Free() }); allocs != 0 {
+		t.Errorf("a clone from the free list made %v allocations, want 0", allocs)
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("freeing a DAG twice did not panic")
+			}
+		}()
+		c := d.Clone()
+		c.Free()
+		c.Free()
+	}()
+
+	loose := graph.New("loose", "L", sim.Millisecond)
+	loose.AddNode("n", accel.ElemMatrix, accel.OpAdd, 64)
+	loose.Free()
+	loose.Free() // no list: nothing to free, so no double free either
+
+	prev := graph.SetRecycling(false)
+	defer graph.SetRecycling(prev)
+	off := d.Clone()
+	off.Free()
+	if d.Clone() == off {
+		t.Error("Clone reused a DAG while recycling was off")
+	}
 }

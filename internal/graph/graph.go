@@ -7,6 +7,8 @@ package graph
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"relief/internal/accel"
 	"relief/internal/sim"
@@ -74,8 +76,8 @@ type Node struct {
 	ActualRuntime sim.Time
 
 	// Ext is the manager's private per-node bookkeeping, set when the
-	// node's DAG is released. Callers must not touch it. Keeping it on the
-	// node means it is freed with its iteration.
+	// node's DAG is released. Callers must not touch it. It points into
+	// the DAG's per-iteration record (DAG.Ext), so it is reused with it.
 	Ext any
 }
 
@@ -130,8 +132,67 @@ type DAG struct {
 	Aborted     bool
 	AbortReason string
 
+	// Ext is the manager's private per-iteration record, set when the DAG
+	// is released. Callers must not touch it. Unlike the other run-time
+	// fields it survives Free and the Clone that reuses the DAG, so the
+	// next iteration reuses what it holds; Free resets it first, so a free
+	// DAG refers to nothing of the run it came from.
+	Ext Resetter
+
 	doneCount int
+	free      *freeList // shared by every DAG of this shape (see Finalize)
+	freed     bool      // on free's list, not yet reused
 }
+
+// Resetter is a per-iteration record (DAG.Ext) that can drop everything it
+// refers to.
+type Resetter interface{ Reset() }
+
+// freeList holds freed DAGs of one shape for Clone to rewrite in place.
+// Finalize makes one per DAG it finalizes, and every clone shares its
+// source's, so a workload template, its per-scenario copies and their
+// loop and periodic iterations all draw from one list.
+type freeList struct {
+	mu   sync.Mutex
+	dags []*DAG
+}
+
+// maxFree bounds a free list, so a burst of overlapping iterations does
+// not stay resident once it has drained.
+const maxFree = 16
+
+func (l *freeList) push(d *DAG) {
+	l.mu.Lock()
+	if len(l.dags) < maxFree {
+		l.dags = append(l.dags, d)
+	}
+	l.mu.Unlock()
+}
+
+func (l *freeList) pop() *DAG {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.dags)
+	if n == 0 {
+		return nil
+	}
+	d := l.dags[n-1]
+	l.dags[n-1] = nil
+	l.dags = l.dags[:n-1]
+	return d
+}
+
+// recycling gates Free and the reuse in Clone. Only tests turn it off (see
+// SetRecycling).
+var recycling atomic.Bool
+
+func init() { recycling.Store(true) }
+
+// SetRecycling turns DAG recycling on or off and returns the previous
+// setting. With it off, Free leaves every DAG to the garbage collector and
+// Clone always allocates, which is how tests check that recycling changes
+// no result.
+func SetRecycling(on bool) bool { return recycling.Swap(on) }
 
 // New creates an empty DAG with the given identity and relative deadline.
 func New(app, sym string, deadline sim.Time) *DAG {
@@ -141,6 +202,7 @@ func New(app, sym string, deadline sim.Time) *DAG {
 // AddNode appends a node to the DAG wired to the given parents. Edge sizes
 // default to each parent's OutputBytes and can be adjusted afterwards.
 func (d *DAG) AddNode(name string, kind accel.Kind, op accel.Op, outputBytes int64, parents ...*Node) *Node {
+	d.free = nil // a new shape: clones of d must not reuse DAGs of the old one
 	n := &Node{
 		ID:          len(d.Nodes),
 		Name:        name,
@@ -195,31 +257,48 @@ func (d *DAG) NumEdges() int {
 }
 
 // Finalize fills each node's nominal compute time from the calibrated
-// accelerator model and validates the graph is acyclic and every edge leads
-// to the node at its ID's position in this DAG, as Clone requires. It must
-// be called once after construction, before deadline assignment.
+// accelerator model, validates the graph is acyclic and every edge leads
+// to the node at its ID's position in this DAG, as Clone requires, and
+// gives the DAG a free list of its own shape for its clones to share. It
+// must be called once after construction, before deadline assignment.
 func (d *DAG) Finalize() error {
 	for _, n := range d.Nodes {
 		if n.Compute == 0 {
 			n.Compute = accel.ComputeTime(n.Kind, n.Op, n.Pixels, n.FilterSize)
 		}
 	}
-	_, err := d.topo()
-	return err
+	if _, err := d.topo(); err != nil {
+		return err
+	}
+	d.free = &freeList{}
+	return nil
 }
 
 // Clone returns an unreleased copy of a finalized DAG's shape: App, Sym,
 // Deadline and every node's static fields (sizes, Compute, RelDeadline),
 // with edges and edge bytes in their original order. All run-time state is
-// zero. The copy shares no memory with d and takes five allocations
-// whatever the node count.
+// zero. The copy shares no memory with d. When a DAG of d's shape has been
+// freed, Clone rewrites that one in place and allocates nothing; its Ext
+// is kept for reuse. Otherwise it takes five allocations whatever the node
+// count.
 func (d *DAG) Clone() *DAG {
+	if recycling.Load() && d.free != nil {
+		if c := d.free.pop(); c != nil {
+			*c = DAG{App: d.App, Sym: d.Sym, Deadline: d.Deadline, Nodes: c.Nodes, Ext: c.Ext, free: c.free}
+			for i, src := range d.Nodes {
+				n := c.Nodes[i]
+				*n = src.static(c, n.Parents, n.Children, n.EdgeInBytes)
+				copy(n.EdgeInBytes, src.EdgeInBytes)
+			}
+			return c
+		}
+	}
 	var nlinks, nedges int
 	for _, n := range d.Nodes {
 		nlinks += len(n.Parents) + len(n.Children)
 		nedges += len(n.EdgeInBytes)
 	}
-	c := &DAG{App: d.App, Sym: d.Sym, Deadline: d.Deadline, Nodes: make([]*Node, len(d.Nodes))}
+	c := &DAG{App: d.App, Sym: d.Sym, Deadline: d.Deadline, Nodes: make([]*Node, len(d.Nodes)), free: d.free}
 	nodes := make([]Node, len(d.Nodes))
 	links := make([]*Node, nlinks)
 	edges := make([]int64, nedges)
@@ -228,22 +307,7 @@ func (d *DAG) Clone() *DAG {
 		// into its neighbour's.
 		np, nc, ne := len(src.Parents), len(src.Children), len(src.EdgeInBytes)
 		n := &nodes[i]
-		*n = Node{
-			ID:              src.ID,
-			Name:            src.Name,
-			Kind:            src.Kind,
-			Op:              src.Op,
-			FilterSize:      src.FilterSize,
-			Pixels:          src.Pixels,
-			Parents:         links[:np:np],
-			Children:        links[np : np+nc : np+nc],
-			EdgeInBytes:     edges[:ne:ne],
-			ExtraInputBytes: src.ExtraInputBytes,
-			OutputBytes:     src.OutputBytes,
-			Compute:         src.Compute,
-			RelDeadline:     src.RelDeadline,
-			DAG:             c,
-		}
+		*n = src.static(c, links[:np:np], links[np:np+nc:np+nc], edges[:ne:ne])
 		links, edges = links[np+nc:], edges[ne:]
 		for j, p := range src.Parents {
 			n.Parents[j] = &nodes[p.ID]
@@ -255,6 +319,46 @@ func (d *DAG) Clone() *DAG {
 		c.Nodes[i] = n
 	}
 	return c
+}
+
+// static returns src's static fields as a node of d with the given edge
+// slices (edge bytes not yet copied) and zero run-time state.
+func (src *Node) static(d *DAG, parents, children []*Node, edges []int64) Node {
+	return Node{
+		ID:              src.ID,
+		Name:            src.Name,
+		Kind:            src.Kind,
+		Op:              src.Op,
+		FilterSize:      src.FilterSize,
+		Pixels:          src.Pixels,
+		Parents:         parents,
+		Children:        children,
+		EdgeInBytes:     edges,
+		ExtraInputBytes: src.ExtraInputBytes,
+		OutputBytes:     src.OutputBytes,
+		Compute:         src.Compute,
+		RelDeadline:     src.RelDeadline,
+		DAG:             d,
+	}
+}
+
+// Free hands d back to its shape's free list for a later Clone to reuse.
+// The caller must hold no reference into d, its nodes included, and must
+// not use it again. Free resets d's Ext first. A DAG that was never
+// finalized or cloned from a finalized one has no list and is left to the
+// garbage collector, as is one freed while its list is full.
+func (d *DAG) Free() {
+	if d.free == nil || !recycling.Load() {
+		return
+	}
+	if d.freed {
+		panic("graph: " + d.App + " DAG freed twice")
+	}
+	d.freed = true
+	if d.Ext != nil {
+		d.Ext.Reset()
+	}
+	d.free.push(d)
 }
 
 // TopoOrder returns the nodes in a dependency-respecting order, or an error

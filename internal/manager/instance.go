@@ -118,6 +118,7 @@ func (inst *Instance) newDMA(kind dmaKind, path []mem.Server, bytes int64, n *gr
 		j.freeNext = nil
 	}
 	j.kind, j.path, j.bytes, j.n = kind, path, bytes, n
+	iter(n.DAG).refs++
 	return j
 }
 
@@ -198,8 +199,11 @@ func (j *dmaJob) done(res mem.TransferResult) {
 	case dmaWriteback:
 		m.writebackDone(j, res)
 	}
+	it := iter(j.n.DAG)
 	*j = dmaJob{inst: inst, doneFn: j.doneFn, freeNext: inst.dmaFree}
 	inst.dmaFree = j
+	it.refs--
+	m.maybeRetire(it)
 	inst.nextDMA()
 }
 
@@ -651,24 +655,27 @@ func (m *Manager) finishNode(n *graph.Node) {
 		m.observeAttribution(n, ns, now)
 	}
 
-	if n.DAG.NodeDone(now) {
+	d := n.DAG
+	if d.NodeDone(now) {
 		m.inFlight--
-		m.dropActive(n.DAG)
+		m.dropActive(d)
 		app.Iterations++
-		app.Runtimes = append(app.Runtimes, n.DAG.Runtime())
-		if n.DAG.MetDeadline() {
+		app.Runtimes = append(app.Runtimes, d.Runtime())
+		if d.MetDeadline() {
 			app.DeadlinesMet++
 		}
 		if m.lastDone < now {
 			m.lastDone = now
 		}
-		if n.DAG.Loop && m.horizon > 0 && now < m.horizon {
-			// The clone carries the template's deadlines.
-			next := n.DAG.Clone()
-			next.Iteration = n.DAG.Iteration + 1
+		it := iter(d)
+		if d.Loop && m.horizon > 0 && now < m.horizon {
+			// The clone carries the caller's deadlines.
+			next := it.origin.Clone()
+			next.Iteration = d.Iteration + 1
 			next.Loop = true
-			m.k.At(now, func() { m.release(next) })
+			m.k.At(now, m.attach(next, it.origin).releaseFn)
 		}
+		m.maybeRetire(it)
 	}
 }
 

@@ -170,23 +170,102 @@ type Manager struct {
 }
 
 // isrRec is one pending manager interrupt. Records are recycled through
-// the manager's free list, so servicing a node completion builds no
-// closure: a completion record carries the finished node, its instance and
-// the children it made ready. Rarer interrupts (release, recovery, abort)
-// carry their handler in work instead.
+// the manager's free list, so servicing a node completion or a DAG release
+// builds no closure: a completion record carries the finished node, its
+// instance and the children it made ready, and a release record the
+// released DAG. Rarer interrupts (recovery, abort) carry their handler in
+// work instead.
 type isrRec struct {
 	m     *Manager
 	n     *graph.Node     // completion: the finished node
 	inst  *Instance       // completion: the instance that ran it
 	ready []*graph.Node   // completion: children made ready; reused
-	work  func() sim.Time // non-completion handler, nil for a completion
+	rel   *graph.DAG      // release: the DAG whose roots become ready
+	work  func() sim.Time // recovery or abort handler
 
 	deferFn  func() // bound resume: re-raises the record once the core is free
 	freeNext *isrRec
 }
 
+// iteration is the manager's record of one released DAG (graph.DAG.Ext).
+// It stays with the DAG through the DAG's free list, so an iteration that
+// reuses a retired DAG also reuses its node states and bound release
+// callback. A DAG the manager cloned for a loop or periodic release is
+// retired (see maybeRetire) once it has finished and nothing refers to it.
+type iteration struct {
+	m *Manager
+	d *graph.DAG
+	// origin is the caller's DAG: d itself, or the DAG the manager cloned
+	// d from, which carries the policy's deadlines.
+	origin *graph.DAG
+	// states holds d's node states (graph.Node.Ext); zeroed at release.
+	states []nodeState
+	// refs counts pending work that refers to d's nodes after they may
+	// have finished: queued or running DMA jobs, and recovery's deferred
+	// release of the instance a failed attempt ran on.
+	refs      int
+	releaseFn func() // bound release, scheduled as d's release event
+}
+
+// Reset drops what the record refers to when its DAG is freed, so a free
+// DAG pins no finished run.
+func (it *iteration) Reset() {
+	clear(it.states)
+	it.m, it.origin, it.refs = nil, nil, 0
+}
+
+func (it *iteration) release() { it.m.release(it.d) }
+
+// attach returns d's iteration record, reusing the one d carries from an
+// earlier life, bound to this manager.
+func (m *Manager) attach(d, origin *graph.DAG) *iteration {
+	it, _ := d.Ext.(*iteration)
+	if it == nil {
+		it = &iteration{d: d}
+		it.releaseFn = it.release
+		d.Ext = it
+	}
+	it.m, it.origin = m, origin
+	return it
+}
+
+// iter returns the record release attached to a DAG.
+func iter(d *graph.DAG) *iteration { return d.Ext.(*iteration) }
+
+// retiredOutput occupies, in place of a retired iteration's node, every
+// partition still holding that node's output: the data stays resident, so
+// occupancy is unchanged, but no partition refers into a DAG that a later
+// iteration may reuse. Its output counts as written back, so reclaiming
+// or losing the partition does nothing further, and nothing writes to it.
+var retiredOutput = &graph.Node{Name: "retired", Ext: &nodeState{wbDone: true}}
+
+// maybeRetire frees an iteration the manager cloned once it has finished
+// without being aborted and no pending work refers to it, after dropping
+// the instances' references into it: a partition's occupant becomes
+// retiredOutput and a LastNode becomes nil (a finished DAG's node is
+// never a parent of a node still to launch). The caller's own DAG is
+// never freed here.
+func (m *Manager) maybeRetire(it *iteration) {
+	d := it.d
+	if it.origin == nil || it.origin == d || it.refs > 0 || !d.Finished() || d.Aborted {
+		return
+	}
+	for _, inst := range m.insts {
+		for _, b := range inst.Parts {
+			if b.Node != nil && b.Node.DAG == d {
+				b.Node = retiredOutput
+			}
+		}
+		if inst.LastNode != nil && inst.LastNode.DAG == d {
+			inst.LastNode = nil
+		}
+	}
+	d.Free()
+}
+
 // nodeState is per-node forwarding bookkeeping (paper Table III/IV fields).
-// It lives on the node (graph.Node.Ext), so it is freed with its iteration.
+// It lives in the node's iteration record (graph.Node.Ext points into
+// iteration.states), so it is reused with its DAG.
 type nodeState struct {
 	inst *Instance // instance whose scratchpad holds the node's output (nil: none)
 	part int       // inst's partition holding it
@@ -393,7 +472,7 @@ func (m *Manager) Submit(d *graph.DAG, release sim.Time) error {
 		// effects are already in the restored state.
 		return nil
 	}
-	m.k.AtReplay(release, func() { m.release(d) })
+	m.k.AtReplay(release, m.attach(d, d).releaseFn)
 	return nil
 }
 
@@ -413,7 +492,8 @@ func (m *Manager) SubmitLoop(d *graph.DAG, release sim.Time) error {
 // whether earlier iterations have finished — the frame-queue arrival
 // pattern of a camera pipeline or an inference stream (e.g. 60 FPS vision
 // = 16.6 ms period). Iteration 0 is d itself; each later iteration is a
-// clone of d made at its release. Complements the paper's
+// clone of d made at its release (see Clone for its reuse of retired
+// iterations). Complements the paper's
 // continuous-contention mode, which resubmits on completion.
 func (m *Manager) SubmitPeriodic(d *graph.DAG, period, until sim.Time) error {
 	if period <= 0 {
@@ -434,16 +514,22 @@ func (m *Manager) SubmitPeriodic(d *graph.DAG, period, until sim.Time) error {
 		m.k.AtReplay(t, func() {
 			next := d.Clone()
 			next.Iteration = iter
-			m.release(next)
+			m.attach(next, d).release()
 		})
 	}
 	return nil
 }
 
+// release makes d's roots ready. d carries an iteration record (attach).
 func (m *Manager) release(d *graph.DAG) {
+	it := iter(d)
 	if m.maybeCapture(d) {
 		// A checkpoint was captured at (or before) this release: the run is
-		// draining, and this DAG will be re-derived by the restored run.
+		// draining, and this DAG will be re-derived by the restored run. A
+		// clone made for the release is referenced by nothing.
+		if it.origin != d {
+			d.Free()
+		}
 		return
 	}
 	m.inFlight++
@@ -451,10 +537,14 @@ func (m *Manager) release(d *graph.DAG) {
 	if m.cfg.Trace.Enabled() {
 		m.cfg.Trace.Instant(trace.Release, fmt.Sprintf("%s#%d", d.App, d.Iteration), "manager", d.Release, nil)
 	}
-	states := make([]nodeState, len(d.Nodes))
+	if len(it.states) != len(d.Nodes) {
+		it.states = make([]nodeState, len(d.Nodes))
+	} else {
+		clear(it.states)
+	}
 	for i, n := range d.Nodes {
 		n.Deadline = d.Release + n.RelDeadline
-		n.Ext = &states[i]
+		n.Ext = &it.states[i]
 	}
 	if m.inj != nil {
 		m.active = append(m.active, d)
@@ -465,15 +555,23 @@ func (m *Manager) release(d *graph.DAG) {
 			}
 		}
 	}
-	roots := d.Roots()
-	m.isrWork(func() sim.Time {
-		var cost sim.Time
-		for _, n := range roots {
+	r := m.newISR()
+	r.rel = d
+	m.isr(r)
+}
+
+// releaseISR is the interrupt handler of a release record: insert the
+// DAG's roots, in node order, into their ready queues. It returns the
+// modeled scheduler cost.
+func (m *Manager) releaseISR(d *graph.DAG) sim.Time {
+	var cost sim.Time
+	for _, n := range d.Nodes {
+		if n.IsRoot() {
 			n.ReadyAt = m.k.Now()
 			cost += m.insertPlain(n)
 		}
-		return cost
-	})
+	}
+	return cost
 }
 
 // insertPlain performs a vanilla policy insertion of a (non-forwarding)
@@ -538,13 +636,16 @@ func (m *Manager) isr(r *isrRec) {
 		return
 	}
 	var cost sim.Time
-	if r.work != nil {
+	switch {
+	case r.work != nil:
 		cost = r.work()
-	} else {
+	case r.rel != nil:
+		cost = m.releaseISR(r.rel)
+	default:
 		cost = m.completionISR(r)
 	}
 	clear(r.ready)
-	r.n, r.inst, r.ready, r.work = nil, nil, r.ready[:0], nil
+	r.n, r.inst, r.ready, r.rel, r.work = nil, nil, r.ready[:0], nil, nil
 	r.freeNext = m.isrFree
 	m.isrFree = r
 	if cost < m.cfg.SchedBase {

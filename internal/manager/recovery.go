@@ -135,11 +135,17 @@ func (m *Manager) recover(n *graph.Node, inst *Instance, cause string) {
 	m.disarmWatchdog(ns)
 	now := m.k.Now()
 	freeInst := func() {
+		// The deferred handler compares against n, so n's iteration
+		// stays unretired until it has run.
+		it := iter(n.DAG)
+		it.refs++
 		m.isrWork(func() sim.Time {
 			inst.Busy = false
 			if inst.curNode == n {
 				inst.curNode = nil
 			}
+			it.refs--
+			m.maybeRetire(it)
 			return 0
 		})
 	}
