@@ -11,6 +11,7 @@ import (
 	"relief/internal/ckpt"
 	"relief/internal/core"
 	"relief/internal/fault"
+	"relief/internal/graph"
 	"relief/internal/manager"
 	"relief/internal/metrics"
 	"relief/internal/sched"
@@ -210,10 +211,13 @@ func (sc *Scenario) managerConfig() (manager.Config, error) {
 // mix application at t=0 (looping under continuous contention). Every
 // iteration after the first is a clone of the application's one build. A
 // restored manager skips everything that completed before its capture
-// instant.
-func submitMix(m *manager.Manager, sc Scenario) error {
+// instant. It returns the DAGs it built, also on error, for freeDAGs once
+// the simulation is done with them.
+func submitMix(m *manager.Manager, sc Scenario) ([]*graph.DAG, error) {
+	dags := make([]*graph.DAG, 0, len(sc.Mix))
 	for _, app := range sc.Mix {
 		d := workload.MustBuild(app)
+		dags = append(dags, d)
 		var err error
 		switch {
 		case sc.Period > 0:
@@ -224,17 +228,29 @@ func submitMix(m *manager.Manager, sc Scenario) error {
 			err = m.Submit(d, 0)
 		}
 		if err != nil {
-			return err
+			return dags, err
 		}
 	}
-	return nil
+	return dags, nil
+}
+
+// freeDAGs hands the DAGs submitMix built back to their free lists. The
+// simulation they were submitted to must be finished or abandoned: nothing
+// may run on it again.
+func freeDAGs(dags []*graph.DAG) {
+	for _, d := range dags {
+		d.Free()
+	}
 }
 
 // runScenario submits sc's schedule and drives it to sc's end: periodic
 // scenarios to their horizon, continuous contention to its cutoff, anything
-// else to completion.
+// else to completion. The Result refers to no DAG, so the submitted ones
+// are freed on every return.
 func (s *Sim) runScenario(ctx context.Context, sc Scenario) (*Result, error) {
-	if err := submitMix(s.Manager, sc); err != nil {
+	dags, err := submitMix(s.Manager, sc)
+	defer freeDAGs(dags)
+	if err != nil {
 		return nil, err
 	}
 	run := s.Manager.Run

@@ -196,7 +196,9 @@ func RunSampled(ctx context.Context, sc Scenario, windows int) (*Estimate, error
 	if err != nil {
 		return nil, err
 	}
-	if err := submitMix(s.Manager, sc); err != nil {
+	dags, err := submitMix(s.Manager, sc)
+	defer freeDAGs(dags)
+	if err != nil {
 		return nil, err
 	}
 	prev := snapStats(s.Stats)
