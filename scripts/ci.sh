@@ -5,7 +5,7 @@
 # detector, allocation ceilings on one BenchmarkFig4, one
 # BenchmarkScenarioContinuous and one BenchmarkDRAMStudy iteration (each
 # about 10% above its measured count and below the count of the design
-# before it), vet and
+# before it) plus a bytes ceiling on the continuous one, vet and
 # tests of the benchmark
 # module (benchmark/, whose smoke test runs every workload once), then
 # smoke runs of the CLIs and the serving fleet.
@@ -59,14 +59,15 @@ go test -race -short $(go list ./... | grep -v -e '^relief/internal/serve' -e '^
 echo "== bench smoke"
 # One iteration of the Fig. 4 grid, gated on its allocation count, which is
 # deterministic to within a few dozen objects at any GOMAXPROCS. The
-# ceiling sits about 10% above the 86,1xx allocs/op measured once each
-# app's DAG was built once per process and node completions ran through
-# recycled interrupt records (805,4xx with a build per scenario and a
-# closure per completion; 914,881 with a map entry per node; 5,391,296
-# before DMA transfer, claim and job records were recycled), so a change
-# that brings back per-scenario builds or per-node, per-completion or
-# per-transfer allocation fails here.
-fig4_alloc_ceiling=95000
+# ceiling sits about 10% above the 48,8xx allocs/op measured once DAGs
+# were recycled through per-shape free lists and deadlines were assigned
+# without maps (86,1xx with a clone per scenario and iteration; 805,4xx
+# with a build per scenario and a closure per completion; 914,881 with a
+# map entry per node; 5,391,296 before DMA transfer, claim and job records
+# were recycled), so a change that brings back per-scenario clones or
+# builds, or per-node, per-completion or per-transfer allocation, fails
+# here.
+fig4_alloc_ceiling=54000
 go test -run '^$' -bench 'BenchmarkFig4$' -benchtime=1x -benchmem . >"$tmp/fig4.txt"
 cat "$tmp/fig4.txt"
 fig4_allocs="$(awk '/^BenchmarkFig4/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }' "$tmp/fig4.txt")"
@@ -75,31 +76,39 @@ if [ "$fig4_allocs" -gt "$fig4_alloc_ceiling" ]; then
 	echo "BenchmarkFig4: $fig4_allocs allocs/op exceeds the ceiling $fig4_alloc_ceiling" >&2
 	exit 1
 fi
-# One continuous-contention CGL scenario, gated the same way; the
-# benchmark builds the per-process app templates in an untimed first run.
-# Every iteration is a clone of its app's template, its manager state is
-# one slice, and completions allocate nothing; the ceiling sits about 10%
-# above the 640 allocs/op measured then (15,94x with a build per scenario
-# and a closure per completion, 17,92x with a map entry per node, 32,22x
-# when each iteration rebuilt its DAG), so a return to any of them fails
-# here.
-cont_alloc_ceiling=710
+# One continuous-contention CGL scenario, gated the same way and on its
+# bytes; the benchmark builds the per-process app templates in an untimed
+# first run. Each iteration reuses a retired DAG of its shape with its
+# node states, and releases and completions allocate nothing; the
+# ceilings sit about 10% above the 238 allocs/op and 178,4xx B/op measured
+# then (640 allocs/op and 1.24 MB/op with a clone and a state slice per
+# iteration, 15,94x allocs/op with a build per scenario and a closure per
+# completion, 17,92x with a map entry per node, 32,22x when each
+# iteration rebuilt its DAG), so a return to any of them fails here.
+cont_alloc_ceiling=265
+cont_bytes_ceiling=197000
 go test -run '^$' -bench 'BenchmarkScenarioContinuous$' -benchtime=1x -benchmem . >"$tmp/cont.txt"
 cat "$tmp/cont.txt"
 cont_allocs="$(awk '/^BenchmarkScenarioContinuous/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }' "$tmp/cont.txt")"
+cont_bytes="$(awk '/^BenchmarkScenarioContinuous/ { for (i = 2; i <= NF; i++) if ($i == "B/op") print $(i-1) }' "$tmp/cont.txt")"
 test -n "$cont_allocs"
+test -n "$cont_bytes"
 if [ "$cont_allocs" -gt "$cont_alloc_ceiling" ]; then
 	echo "BenchmarkScenarioContinuous: $cont_allocs allocs/op exceeds the ceiling $cont_alloc_ceiling" >&2
+	exit 1
+fi
+if [ "$cont_bytes" -gt "$cont_bytes_ceiling" ]; then
+	echo "BenchmarkScenarioContinuous: $cont_bytes B/op exceeds the ceiling $cont_bytes_ceiling" >&2
 	exit 1
 fi
 
 # One detailed-DRAM study (the high-contention grid on the bank-level
 # controller), gated the same way. The ceiling sits about 10% above the
-# 25,8xx allocs/op measured once the controller queued page segments and
-# recycled its request records (413,5xx with one queue entry per 64-byte
-# burst and a record per request), so a return to per-burst or
-# per-request allocation fails here.
-dram_alloc_ceiling=28500
+# 14,13x allocs/op measured once DAGs were recycled and deadlines were
+# assigned without maps (25,8xx before; 413,5xx with one queue entry per
+# 64-byte burst and a record per request), so a return to per-scenario
+# clones, per-burst or per-request allocation fails here.
+dram_alloc_ceiling=15600
 go test -run '^$' -bench 'BenchmarkDRAMStudy$' -benchtime=1x -benchmem . >"$tmp/dram.txt"
 cat "$tmp/dram.txt"
 dram_allocs="$(awk '/^BenchmarkDRAMStudy/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }' "$tmp/dram.txt")"
