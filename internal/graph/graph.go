@@ -141,7 +141,7 @@ type DAG struct {
 
 	doneCount int
 	free      *freeList // shared by every DAG of this shape (see Finalize)
-	freed     bool      // on free's list, not yet reused
+	freed     bool      // on its free list, not yet reused
 }
 
 // Resetter is a per-iteration record (DAG.Ext) that can drop everything it
@@ -182,17 +182,15 @@ func (l *freeList) pop() *DAG {
 	return d
 }
 
-// recycling gates Free and the reuse in Clone. Only tests turn it off (see
+// recyclingOff disables Free and the reuse in Clone. Only tests set it (see
 // SetRecycling).
-var recycling atomic.Bool
-
-func init() { recycling.Store(true) }
+var recyclingOff atomic.Bool
 
 // SetRecycling turns DAG recycling on or off and returns the previous
 // setting. With it off, Free leaves every DAG to the garbage collector and
 // Clone always allocates, which is how tests check that recycling changes
 // no result.
-func SetRecycling(on bool) bool { return recycling.Swap(on) }
+func SetRecycling(on bool) bool { return !recyclingOff.Swap(!on) }
 
 // New creates an empty DAG with the given identity and relative deadline.
 func New(app, sym string, deadline sim.Time) *DAG {
@@ -282,7 +280,7 @@ func (d *DAG) Finalize() error {
 // is kept for reuse. Otherwise it takes five allocations whatever the node
 // count.
 func (d *DAG) Clone() *DAG {
-	if recycling.Load() && d.free != nil {
+	if d.free != nil && !recyclingOff.Load() {
 		if c := d.free.pop(); c != nil {
 			*c = DAG{App: d.App, Sym: d.Sym, Deadline: d.Deadline, Nodes: c.Nodes, Ext: c.Ext, free: c.free}
 			for i, src := range d.Nodes {
@@ -348,7 +346,7 @@ func (src *Node) static(d *DAG, parents, children []*Node, edges []int64) Node {
 // finalized or cloned from a finalized one has no list and is left to the
 // garbage collector, as is one freed while its list is full.
 func (d *DAG) Free() {
-	if d.free == nil || !recycling.Load() {
+	if d.free == nil || recyclingOff.Load() {
 		return
 	}
 	if d.freed {

@@ -10,13 +10,14 @@ import (
 	"relief/internal/workload"
 )
 
-// TestLongRunHeapStaysFlat: a finished iteration's state is freed with its
-// DAG. Continuous CGL and a periodic CGL mix each run at a short and a ten
-// times longer horizon; the live heap after the long run, with the manager
-// still reachable, may exceed the short run's only by the per-iteration
-// run times, a few KB (measured under 0.03 MB). Keeping one scheduler-cost
-// sample per ready-queue insertion costs about 0.3 MB, and keeping every
-// iteration's node state alive about 19 MB; the bound fails both.
+// TestLongRunHeapStaysFlat: a finished iteration's DAG and state are reused
+// or freed, never kept. Continuous CGL and a periodic CGL mix each run at a
+// short and a ten times longer horizon; the live heap after the long run,
+// with the manager still reachable, may exceed the short run's only by the
+// per-iteration run times, a few KB (measured under 0.03 MB). Keeping one
+// scheduler-cost sample per ready-queue insertion costs about 0.3 MB, and
+// keeping every iteration's node state alive about 19 MB; the bound fails
+// both.
 func TestLongRunHeapStaysFlat(t *testing.T) {
 	mix, err := workload.ParseMix("CGL")
 	if err != nil {

@@ -198,7 +198,8 @@ type iteration struct {
 	// origin is the caller's DAG: d itself, or the DAG the manager cloned
 	// d from, which carries the policy's deadlines.
 	origin *graph.DAG
-	// states holds d's node states (graph.Node.Ext); zeroed at release.
+	// states holds d's node states (graph.Node.Ext). They are zero when d
+	// is released: new, or zeroed by Reset when d was freed.
 	states []nodeState
 	// refs counts pending work that refers to d's nodes after they may
 	// have finished: queued or running DMA jobs, and recovery's deferred
@@ -229,7 +230,7 @@ func (m *Manager) attach(d, origin *graph.DAG) *iteration {
 	return it
 }
 
-// iter returns the record release attached to a DAG.
+// iter returns the record attach put on a released DAG.
 func iter(d *graph.DAG) *iteration { return d.Ext.(*iteration) }
 
 // retiredOutput occupies, in place of a retired iteration's node, every
@@ -247,7 +248,7 @@ var retiredOutput = &graph.Node{Name: "retired", Ext: &nodeState{wbDone: true}}
 // never freed here.
 func (m *Manager) maybeRetire(it *iteration) {
 	d := it.d
-	if it.origin == nil || it.origin == d || it.refs > 0 || !d.Finished() || d.Aborted {
+	if it.origin == d || it.refs > 0 || !d.Finished() || d.Aborted {
 		return
 	}
 	for _, inst := range m.insts {
@@ -539,8 +540,6 @@ func (m *Manager) release(d *graph.DAG) {
 	}
 	if len(it.states) != len(d.Nodes) {
 		it.states = make([]nodeState, len(d.Nodes))
-	} else {
-		clear(it.states)
 	}
 	for i, n := range d.Nodes {
 		n.Deadline = d.Release + n.RelDeadline

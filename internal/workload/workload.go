@@ -92,7 +92,8 @@ var templates [NumApps]struct {
 // Build returns a new, unsubmitted copy of the application's DAG, finalized
 // and ready for submission. The copy is a Clone of a per-application
 // template built once per process, so it shares no memory with any other
-// Build result and costs five allocations.
+// live Build result. It reuses a freed DAG of the application when one is
+// free (see graph.(*DAG).Free) and otherwise costs five allocations.
 func Build(a App) (*graph.DAG, error) {
 	if a < 0 || a >= NumApps {
 		return nil, fmt.Errorf("workload: unknown app %d", a)
