@@ -96,6 +96,8 @@ type Controller struct {
 
 	channels []*channel
 	cursor   int64 // synthetic address allocator for incoming requests
+	// pageBursts is the bursts in a whole page (PageBytes/BurstBytes).
+	pageBursts int64
 
 	// fault, if set, returns an injected error stall per request.
 	fault func(n int64) sim.Time
@@ -151,9 +153,11 @@ type channel struct {
 }
 
 // push appends a segment of n bursts.
+//
+//relief:hotpath
 func (ch *channel) push(s segment, n int32) {
 	s.n = n
-	ch.queue = append(ch.queue, s)
+	ch.queue = append(ch.queue, s) //lint:allow hotalloc the queue array is reused once drained, so it grows only to the channel's peak depth
 	ch.bursts += int(n)
 }
 
@@ -226,13 +230,15 @@ type request struct {
 
 // NewController builds a controller on the kernel.
 func NewController(k *sim.Kernel, name string, cfg Config) *Controller {
-	if cfg.BurstBytes <= 0 || cfg.PageBytes <= 0 || cfg.Banks <= 0 {
+	// A page must hold whole bursts: Enqueue steps from one page to the
+	// next by PageBytes/BurstBytes bursts.
+	if cfg.BurstBytes <= 0 || cfg.PageBytes <= 0 || cfg.Banks <= 0 || cfg.PageBytes%cfg.BurstBytes != 0 {
 		panic("dram: invalid geometry")
 	}
 	if cfg.Channels < 1 {
 		cfg.Channels = 1
 	}
-	c := &Controller{k: k, cfg: cfg, name: name}
+	c := &Controller{k: k, cfg: cfg, name: name, pageBursts: cfg.PageBytes / cfg.BurstBytes}
 	for i := 0; i < cfg.Channels; i++ {
 		ch := &channel{idx: i, banks: make([]bank, cfg.Banks)}
 		if cfg.TREFI > 0 {
@@ -340,6 +346,8 @@ func (c *Controller) SetFault(fn func(n int64) sim.Time) { c.fault = fn }
 // Enqueue implements mem.Server: the request is laid out at the next
 // contiguous synthetic addresses (each DMA chunk is a contiguous buffer
 // slice), decomposed into bursts, and queued as one segment per page.
+//
+//relief:hotpath
 func (c *Controller) Enqueue(n int64, done func()) {
 	if n <= 0 {
 		c.k.Schedule(0, done)
@@ -353,33 +361,28 @@ func (c *Controller) Enqueue(n int64, done func()) {
 	}
 	nBursts := (n + c.cfg.BurstBytes - 1) / c.cfg.BurstBytes
 	req := c.newRequest(done)
-	nCh := int64(len(c.channels))
 	// Shares must be fully counted before any channel starts serving: the
 	// first append below can kick off a virtual run that resolves bursts
 	// immediately.
-	for i := int64(0); i < nBursts; {
-		page, next := c.pageRun(base, i, nBursts)
-		req.shares[page%nCh] += int32(next - i)
-		i = next
+	if len(c.channels) == 1 {
+		req.shares[0] = int32(nBursts)
+	} else {
+		for p := c.firstPage(base, nBursts); p.i < nBursts; c.nextPage(&p, nBursts) {
+			req.shares[p.ch] += int32(p.next - p.i)
+		}
 	}
 	for _, s := range req.shares {
 		if s > 0 {
 			req.outstanding++
 		}
 	}
-	for i := int64(0); i < nBursts; {
-		page, next := c.pageRun(base, i, nBursts)
-		pageInCh := page / nCh
-		ch := c.channels[page%nCh]
-		s := segment{
-			bank: int32(pageInCh % int64(c.cfg.Banks)),
-			row:  pageInCh / int64(c.cfg.Banks),
-			req:  req,
-		}
-		if i == 0 {
+	for p := c.firstPage(base, nBursts); p.i < nBursts; c.nextPage(&p, nBursts) {
+		ch := c.channels[p.ch]
+		s := segment{bank: p.bank, row: p.row, req: req}
+		if p.i == 0 {
 			s.extra = extra
 		}
-		segBursts := int32(next - i)
+		segBursts := int32(p.next - p.i)
 		if !ch.serving {
 			// An idle channel starts serving with only the segment's first
 			// burst queued, as if bursts arrived one at a time: the rest
@@ -396,21 +399,53 @@ func (c *Controller) Enqueue(n int64, done func()) {
 		if segBursts > 0 {
 			ch.push(s, segBursts)
 		}
-		i = next
 	}
 	c.bytes += n
 }
 
-// pageRun returns the page holding burst i of a request laid out at base,
-// and the index one past the request's last burst in that page.
-func (c *Controller) pageRun(base, i, nBursts int64) (page, next int64) {
+// pageSpan is one page of a request: the request's bursts [i, next) that
+// fall in it, and the page's channel, bank and row. Pages interleave over
+// channels first, then banks, then rows.
+type pageSpan struct {
+	i, next int64
+	ch      int
+	bank    int32
+	row     int64
+}
+
+// firstPage returns the page holding the first burst of a request of
+// nBursts bursts laid out at base.
+func (c *Controller) firstPage(base, nBursts int64) pageSpan {
 	b := c.cfg.BurstBytes
-	page = (base + i*b) / c.cfg.PageBytes
-	next = min(((page+1)*c.cfg.PageBytes-base+b-1)/b, nBursts)
-	return page, next
+	page := base / c.cfg.PageBytes
+	nCh := int64(len(c.channels))
+	inCh := page / nCh
+	return pageSpan{
+		next: min(((page+1)*c.cfg.PageBytes-base+b-1)/b, nBursts),
+		ch:   int(page % nCh),
+		bank: int32(inCh % int64(c.cfg.Banks)),
+		row:  inCh / int64(c.cfg.Banks),
+	}
+}
+
+// nextPage steps p to the request's next page. Every page after the
+// first starts at a page boundary, so it holds a whole page of bursts
+// unless the request ends inside it.
+func (c *Controller) nextPage(p *pageSpan, nBursts int64) {
+	p.i = p.next
+	p.next = min(p.next+c.pageBursts, nBursts)
+	if p.ch++; p.ch == len(c.channels) {
+		p.ch = 0
+		if p.bank++; int(p.bank) == c.cfg.Banks {
+			p.bank = 0
+			p.row++
+		}
+	}
 }
 
 // newRequest takes a request record from the free list, or makes one.
+//
+//relief:hotpath
 func (c *Controller) newRequest(done func()) *request {
 	var r *request
 	if n := len(c.free); n > 0 {
@@ -418,7 +453,7 @@ func (c *Controller) newRequest(done func()) *request {
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
 	} else {
-		r = &request{shares: make([]int32, len(c.channels))}
+		r = &request{shares: make([]int32, len(c.channels))} //lint:allow hotalloc free-list refill: records return on completion, so this runs only until the list covers the peak number of requests in flight
 	}
 	r.done = done
 	return r
@@ -490,15 +525,20 @@ func (c *Controller) pick(ch *channel) int {
 //
 // With burst runs on, a picked segment is served whole: once one of its
 // bursts is served its row is open, and no other bank's row changes, so
-// it stays the window's first row hit until it is empty. The cost is
-// still charged burst by burst, since a refresh boundary can fall inside
-// the segment.
+// it stays the window's first row hit until it is empty. Its first burst
+// is priced on its own: it may cross a refresh boundary, miss, or carry an
+// injected stall. Every later burst picked strictly before the channel's
+// next refresh is a row hit costing TBurst+TGap, so that stretch is priced
+// in closed form; the first burst picked at or past the boundary goes back
+// through the per-burst path, which refreshes and misses. A segment thus
+// costs one step per refresh boundary it crosses, not one per burst.
 //
 //relief:hotpath
 func (c *Controller) serve(ch *channel) {
 	start := c.k.Now()
 	vnow := start
 	lastPick := start
+	hit := c.cfg.TBurst + c.cfg.TGap
 	ch.fin = nil
 	for {
 		i := c.pick(ch)
@@ -529,9 +569,9 @@ func (c *Controller) serve(ch *channel) {
 		if burstRuns {
 			n = int(s.n)
 		}
-		for range n {
+		for left := n; left > 0; {
 			lastPick = vnow
-			cost := c.cfg.TBurst + c.cfg.TGap + extra
+			cost := hit + extra
 			extra = 0
 			// Refresh: when traffic crosses a tREFI boundary, the channel
 			// stalls for tRFC and every row closes. Idle periods advance
@@ -561,6 +601,24 @@ func (c *Controller) serve(ch *channel) {
 				c.RowHits++
 			}
 			vnow += cost
+			left--
+			// The row is open now; the bursts picked before the next
+			// refresh, at vnow, vnow+hit, ..., are all hits.
+			k := left
+			if c.cfg.TREFI > 0 {
+				switch {
+				case ch.nextRefresh <= vnow:
+					k = 0
+				case hit > 0:
+					k = min(k, int((ch.nextRefresh-vnow+hit-1)/hit))
+				}
+			}
+			if k > 0 {
+				c.RowHits += int64(k)
+				lastPick = vnow + sim.Time(k-1)*hit
+				vnow += sim.Time(k) * hit
+				left -= k
+			}
 		}
 		ch.consume(i, n)
 		req.shares[ch.idx] -= int32(n)

@@ -19,12 +19,18 @@ func TestPolicyString(t *testing.T) {
 }
 
 func TestInvalidGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid geometry accepted")
-		}
-	}()
-	NewController(sim.NewKernel(), "bad", Config{})
+	partial := LPDDR5()
+	partial.PageBytes = 2048 + 32 // not a whole number of 64-byte bursts
+	for name, cfg := range map[string]Config{"zero": {}, "partial-burst page": partial} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("invalid geometry accepted")
+				}
+			}()
+			NewController(sim.NewKernel(), "bad", cfg)
+		})
+	}
 }
 
 func TestZeroByteRequestCompletes(t *testing.T) {

@@ -48,16 +48,28 @@ func diffScenario(seed int64, build func(k *sim.Kernel, cfg Config) (queueModel,
 	if rng.Intn(2) == 0 {
 		cfg.PageBytes = 512 // more page crossings per request
 	}
-	switch rng.Intn(3) {
+	hit := cfg.TBurst + cfg.TGap
+	switch rng.Intn(5) {
 	case 0:
 		cfg.TREFI = 0
 	case 1:
 		cfg.TREFI = 500 * sim.Nanosecond
+	case 2:
+		// Every latency is a whole number of bursts, so a run that starts
+		// on the burst grid picks exactly at its refresh boundaries.
+		cfg.TREFI = 8 * hit
+		cfg.TRFC, cfg.TRP, cfg.TRCD = 2*hit, 2*hit, 2*hit
+	case 3:
+		// Shorter than one burst: several refreshes fall inside every
+		// burst, so every pick refreshes and misses. tRFC stays below
+		// tREFI, or each burst's stall would outgrow the one before.
+		cfg.TREFI = hit - 1
+		cfg.TRFC = sim.Nanosecond
 	}
 	c, hooks := build(k, cfg)
 	var out strings.Builder
-	fmt.Fprintf(&out, "policy=%s win=%d ch=%d page=%d refi=%d\n",
-		cfg.Policy, cfg.WindowBursts, cfg.Channels, cfg.PageBytes, int64(cfg.TREFI))
+	fmt.Fprintf(&out, "policy=%s win=%d ch=%d page=%d refi=%d rfc=%d\n",
+		cfg.Policy, cfg.WindowBursts, cfg.Channels, cfg.PageBytes, int64(cfg.TREFI), int64(cfg.TRFC))
 	if rng.Intn(2) == 0 {
 		frng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		c.SetFault(func(n int64) sim.Time {
@@ -147,7 +159,9 @@ func burstModel(k *sim.Kernel, cfg Config) (queueModel, modelHooks) {
 // TestSegmentQueueMatchesBurstQueue is the differential test of the
 // segment queue against the per-burst queue it replaced (refController):
 // over random seeds covering unaligned sizes, fault stalls, one to three
-// channels, windows 0/4/64 and refresh on and off, both must complete the
+// channels, windows 0/4/64, refresh off, every 500 ns, every 3.9 us, every
+// eight bursts with all latencies on the burst grid (picks land exactly on
+// refresh boundaries) and more often than once a burst, both must complete the
 // same requests in the same order at the same times, report the same
 // queue lengths and busy times at every sample, count the same row hits,
 // misses and refreshes, and fire the same number of events — batched, and

@@ -330,6 +330,8 @@ func TestCheckpointRestoreRejectsImpossibleState(t *testing.T) {
 		{"negative last-done", func(ck *manager.Checkpoint) { ck.LastDone = -1 }, "manager times"},
 		{"last-done after capture", func(ck *manager.Checkpoint) { ck.LastDone = math.MaxInt64 }, "manager times"},
 		{"negative compute busy", func(ck *manager.Checkpoint) { ck.Instances[0].ComputeBusy = -1 }, "compute busy"},
+		// Sequence numbers would wrap a few events into the restored run.
+		{"sequence number without headroom", func(ck *manager.Checkpoint) { ck.Kernel.Seq = math.MaxUint64 - 1 }, "sequence number"},
 		// The payload stays self-consistent, so only the envelope, whose
 		// instant the horizon check reads, disagrees with it.
 		{"capture instant other than the envelope's", func(ck *manager.Checkpoint) {

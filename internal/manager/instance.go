@@ -278,7 +278,7 @@ func (m *Manager) launch(n *graph.Node, inst *Instance) {
 
 	// Input edges.
 	m.st.BaselineBytes += n.TotalInputBytes() + n.OutputBytes
-	app := m.st.App(n.DAG.App, n.DAG.Sym, n.DAG.Deadline)
+	app := iter(n.DAG).app
 	for i, p := range n.Parents {
 		bytes := n.EdgeInBytes[i]
 		m.fetchEdge(n, inst, part, p, bytes, app, att)
@@ -633,7 +633,7 @@ func (m *Manager) finishNode(n *graph.Node) {
 	ns := m.state(n)
 
 	m.st.NodesDone++
-	app := m.st.App(n.DAG.App, n.DAG.Sym, n.DAG.Deadline)
+	app := iter(n.DAG).app
 	app.NodesDone++
 	if now <= n.Deadline {
 		m.st.NodesMetDeadline++

@@ -201,6 +201,9 @@ type iteration struct {
 	// states holds d's node states (graph.Node.Ext). They are zero when d
 	// is released: new, or zeroed by Reset when d was freed.
 	states []nodeState
+	// app is d's application statistics, looked up once at release so
+	// launches and completions skip the Stats.Apps map.
+	app *stats.AppStats
 	// refs counts pending work that refers to d's nodes after they may
 	// have finished: queued or running DMA jobs, and recovery's deferred
 	// release of the instance a failed attempt ran on.
@@ -212,7 +215,7 @@ type iteration struct {
 // DAG pins no finished run.
 func (it *iteration) Reset() {
 	clear(it.states)
-	it.m, it.origin, it.refs = nil, nil, 0
+	it.m, it.origin, it.app, it.refs = nil, nil, nil, 0
 }
 
 func (it *iteration) release() { it.m.release(it.d) }
@@ -535,6 +538,7 @@ func (m *Manager) release(d *graph.DAG) {
 	}
 	m.inFlight++
 	d.Release = m.k.Now()
+	it.app = m.st.App(d.App, d.Sym, d.Deadline)
 	if m.cfg.Trace.Enabled() {
 		m.cfg.Trace.Instant(trace.Release, fmt.Sprintf("%s#%d", d.App, d.Iteration), "manager", d.Release, nil)
 	}

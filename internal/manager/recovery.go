@@ -267,8 +267,7 @@ func (m *Manager) abortDAG(d *graph.DAG, reason string) {
 	m.inFlight--
 	m.dropActive(d)
 	m.st.Faults.DAGsAborted++
-	app := m.st.App(d.App, d.Sym, d.Deadline)
-	app.Aborted++
+	iter(d).app.Aborted++
 	if m.cfg.Trace.Enabled() {
 		m.cfg.Trace.Instant(trace.Abort,
 			fmt.Sprintf("%s#%d: %s", d.App, d.Iteration, reason), "manager", m.k.Now(), nil)

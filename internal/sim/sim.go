@@ -270,12 +270,22 @@ func (k *Kernel) CaptureState() KernelState {
 	return KernelState{Now: k.now, Seq: k.seq}
 }
 
+// maxRestoreSeq bounds a restored sequence number. No run reaches it: at a
+// billion events a second it takes over a century of host time. Above it,
+// a crafted state could leave too little headroom, and sequence numbers
+// that wrap past MaxUint64 would dispatch later events ahead of earlier
+// ones at the same instant.
+const maxRestoreSeq = 1 << 62
+
 // RestoreState primes a fresh kernel with a captured state: the clock jumps
 // to the capture instant and sequence numbering continues from the captured
 // value. It must be called before any event is scheduled on the kernel.
 func (k *Kernel) RestoreState(s KernelState) error {
 	if k.seq != 0 || len(k.queue) != 0 || k.fired != 0 {
 		return fmt.Errorf("sim: RestoreState on a used kernel (%d events scheduled)", k.seq)
+	}
+	if s.Seq > maxRestoreSeq {
+		return fmt.Errorf("sim: restore sequence number %d above %d, more events than any run schedules", s.Seq, uint64(maxRestoreSeq))
 	}
 	k.now = s.Now
 	k.seq = s.Seq

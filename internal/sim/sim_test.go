@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -282,5 +283,29 @@ func TestWeakEventCancel(t *testing.T) {
 	k.Run()
 	if ran {
 		t.Fatal("cancelled weak event ran")
+	}
+}
+
+// TestRestoreStateBoundsSeq: a restored sequence number must leave
+// headroom. At the bound, same-instant events still dispatch in the order
+// they were scheduled; above it, restore refuses the state instead of
+// letting later numbers wrap past MaxUint64 and reorder dispatch.
+func TestRestoreStateBoundsSeq(t *testing.T) {
+	for _, seq := range []uint64{maxRestoreSeq + 1, math.MaxUint64} {
+		if err := NewKernel().RestoreState(KernelState{Now: Microsecond, Seq: seq}); err == nil {
+			t.Errorf("sequence number %d restored without error", seq)
+		}
+	}
+	k := NewKernel()
+	if err := k.RestoreState(KernelState{Now: Microsecond, Seq: maxRestoreSeq}); err != nil {
+		t.Fatal(err)
+	}
+	var order []int
+	for i := 0; i < 3; i++ {
+		k.Schedule(Nanosecond, func() { order = append(order, i) })
+	}
+	k.Run()
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Errorf("same-instant events after restoring at the bound fired in order %v, want [0 1 2]", order)
 	}
 }
