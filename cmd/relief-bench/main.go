@@ -180,13 +180,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "relief-bench: unknown format %q (want text or csv)\n", *format)
 		os.Exit(2)
 	}
-	if err := run(*expFlag, *format, *jsonOut, jobs); err != nil {
+	if err := run(os.Stdout, *expFlag, *format, *jsonOut, jobs); err != nil {
 		fmt.Fprintf(os.Stderr, "relief-bench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(expName, format, jsonOut string, jobs int) error {
+func run(w io.Writer, expName, format, jsonOut string, jobs int) error {
 	names := order
 	if expName != "all" {
 		if _, ok := experiments[expName]; !ok {
@@ -209,12 +209,12 @@ func run(expName, format, jsonOut string, jobs int) error {
 		for _, t := range tables {
 			switch format {
 			case "csv":
-				if err := t.RenderCSV(os.Stdout); err != nil {
+				if err := t.RenderCSV(w); err != nil {
 					return err
 				}
-				fmt.Println()
+				fmt.Fprintln(w)
 			default:
-				t.Render(os.Stdout)
+				t.Render(w)
 			}
 		}
 	}

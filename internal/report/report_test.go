@@ -2,7 +2,9 @@ package report
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/xml"
+	"fmt"
 	"math"
 	"regexp"
 	"strings"
@@ -101,5 +103,11 @@ func TestGenerateReport(t *testing.T) {
 		if err := xml.Unmarshal([]byte(m), new(any)); err != nil {
 			t.Fatalf("chart %d malformed: %v", i, err)
 		}
+	}
+	// The report is deterministic: pin its bytes so the charts cannot drift
+	// from the figures they plot.
+	const want = "7fbe23dbf44699d229f07f042e4ffb70a6f73e7d4e011663b69d14e3350a3be3"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("report sha256 = %s, want %s", got, want)
 	}
 }
