@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math"
 
 	"relief/internal/graph"
 	"relief/internal/sim"
@@ -74,7 +73,7 @@ func idealColocates(p, c *graph.Node) bool {
 	return true
 }
 
-// mixScenarios enumerates the (mix, policy) grid for a contention level.
+// forEachMix calls fn with every mix of a contention level and its label.
 func forEachMix(level workload.Contention, fn func(mix []workload.App, name string) error) error {
 	for _, mix := range workload.Mixes(level) {
 		if err := fn(mix, workload.MixName(mix)); err != nil {
@@ -84,191 +83,152 @@ func forEachMix(level workload.Contention, fn func(mix []workload.App, name stri
 	return nil
 }
 
-// Fig4 reproduces Fig. 4: percent of total forwards and colocations
-// (relative to the total number of edges executed) per mix and policy.
-func Fig4(s *Sweep, level workload.Contention) (*Table, error) {
-	t := &Table{
-		Title: fmt.Sprintf("Figure 4 (%s contention): forwards and colocations / edges (%%)", level),
-		Note:  "cells: FWD% + COL%",
-	}
-	t.Cols = append(t.Cols, "mix")
-	for _, p := range PolicyNames {
-		t.Cols = append(t.Cols, p+" fwd", p+" col")
-	}
-	perPolicyFwd := make(map[string][]float64)
-	perPolicyCol := make(map[string][]float64)
-	err := forEachMix(level, func(mix []workload.App, name string) error {
-		row := []string{name}
-		for _, p := range PolicyNames {
-			res, err := s.Get(Scenario{Mix: mix, Contention: level, Policy: p})
-			if err != nil {
-				return err
-			}
-			fwd, col := res.Stats.ForwardsPerEdge()
-			perPolicyFwd[p] = append(perPolicyFwd[p], fwd)
-			perPolicyCol[p] = append(perPolicyCol[p], col)
-			row = append(row, f1(fwd), f1(col))
-		}
-		t.AddRow(row...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	grow := []string{"Gmean"}
-	for _, p := range PolicyNames {
-		grow = append(grow, f1(gmean(perPolicyFwd[p], 0.1)), f1(gmean(perPolicyCol[p], 0.1)))
-	}
-	t.AddRow(grow...)
-	return t, nil
+// PolicyFigure is one of the paper's per-policy figures (Figs. 4-8): a
+// metric read from every (mix, policy) scenario of a contention level.
+// relief-bench tabulates it (Table) and relief-report charts it (Values),
+// so both plot the same numbers.
+type PolicyFigure struct {
+	title  string   // format string taking the contention level
+	note   string   // optional table note
+	series []string // per-policy column suffixes; nil for one unnamed value
+	format func(float64) string
+	eps    float64 // gmean clamp
+	metric func(s *Sweep, r *Result) ([]float64, error)
 }
 
-// Fig5 reproduces Fig. 5: data movement breakdown into main-memory traffic
-// and SPAD-to-SPAD traffic, as a percentage of the all-through-main-memory
+// Figure4 is Fig. 4: percent of total forwards and colocations (relative
+// to the total number of edges executed).
+var Figure4 = PolicyFigure{
+	title:  "Figure 4 (%s contention): forwards and colocations / edges (%%)",
+	note:   "cells: FWD% + COL%",
+	series: []string{"fwd", "col"},
+	format: f1, eps: 0.1,
+	metric: func(_ *Sweep, r *Result) ([]float64, error) {
+		fwd, col := r.Stats.ForwardsPerEdge()
+		return []float64{fwd, col}, nil
+	},
+}
+
+// Figure5 is Fig. 5: data movement broken into main-memory and
+// SPAD-to-SPAD traffic, as a percentage of the all-through-main-memory
 // baseline; the remainder is eliminated by colocation and skipped
 // write-backs.
-func Fig5(s *Sweep, level workload.Contention) (*Table, error) {
-	t := &Table{
-		Title: fmt.Sprintf("Figure 5 (%s contention): data movement breakdown (%% of all-DRAM baseline)", level),
-	}
-	t.Cols = append(t.Cols, "mix")
-	for _, p := range PolicyNames {
-		t.Cols = append(t.Cols, p+" dram", p+" spad")
-	}
-	perDram := make(map[string][]float64)
-	perSpad := make(map[string][]float64)
-	err := forEachMix(level, func(mix []workload.App, name string) error {
-		row := []string{name}
-		for _, p := range PolicyNames {
-			res, err := s.Get(Scenario{Mix: mix, Contention: level, Policy: p})
-			if err != nil {
-				return err
-			}
-			dram, spad := res.Stats.DataMovement()
-			perDram[p] = append(perDram[p], dram)
-			perSpad[p] = append(perSpad[p], spad)
-			row = append(row, f1(dram), f1(spad))
-		}
-		t.AddRow(row...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	grow := []string{"Gmean"}
-	for _, p := range PolicyNames {
-		grow = append(grow, f1(gmean(perDram[p], 0.1)), f1(gmean(perSpad[p], 0.1)))
-	}
-	t.AddRow(grow...)
-	return t, nil
+var Figure5 = PolicyFigure{
+	title:  "Figure 5 (%s contention): data movement breakdown (%% of all-DRAM baseline)",
+	series: []string{"dram", "spad"},
+	format: f1, eps: 0.1,
+	metric: func(_ *Sweep, r *Result) ([]float64, error) {
+		dram, spad := r.Stats.DataMovement()
+		return []float64{dram, spad}, nil
+	},
 }
 
-// Fig6 reproduces Fig. 6: total main-memory and scratchpad energy under
-// high contention, normalised to LAX.
-func Fig6(s *Sweep) (*Table, error) {
-	t := &Table{
-		Title: "Figure 6 (high contention): memory energy normalised to LAX",
-	}
-	t.Cols = append(t.Cols, "mix")
-	for _, p := range PolicyNames {
-		t.Cols = append(t.Cols, p+" dram", p+" spad")
-	}
-	perDram := make(map[string][]float64)
-	perSpad := make(map[string][]float64)
-	err := forEachMix(workload.High, func(mix []workload.App, name string) error {
-		lax, err := s.Get(Scenario{Mix: mix, Contention: workload.High, Policy: "LAX"})
+// Figure6 is Fig. 6: total main-memory and scratchpad energy, normalised
+// to LAX on the same mix. The paper shows it under high contention only.
+var Figure6 = PolicyFigure{
+	title:  "Figure 6 (%s contention): memory energy normalised to LAX",
+	series: []string{"dram", "spad"},
+	format: f2, eps: 1e-3,
+	metric: func(s *Sweep, r *Result) ([]float64, error) {
+		lax, err := s.Get(Scenario{Mix: r.Scenario.Mix, Contention: r.Scenario.Contention, Policy: "LAX"})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		laxDram, laxSpad := lax.Stats.MemoryEnergy()
-		row := []string{name}
-		for _, p := range PolicyNames {
-			res, err := s.Get(Scenario{Mix: mix, Contention: workload.High, Policy: p})
+		dram, spad := r.Stats.MemoryEnergy()
+		return []float64{dram / laxDram, spad / laxSpad}, nil
+	},
+}
+
+// Figure7 is Fig. 7: accelerator occupancy (sum of per-accelerator busy
+// compute time over end-to-end execution time; higher is better).
+var Figure7 = PolicyFigure{
+	title:  "Figure 7 (%s contention): accelerator occupancy",
+	format: f2, eps: 1e-3,
+	metric: func(_ *Sweep, r *Result) ([]float64, error) {
+		return []float64{r.Stats.Occupancy()}, nil
+	},
+}
+
+// Figure8 is Fig. 8: percent of node deadlines met.
+var Figure8 = PolicyFigure{
+	title:  "Figure 8 (%s contention): node deadlines met (%%)",
+	format: f1, eps: 0.1,
+	metric: func(_ *Sweep, r *Result) ([]float64, error) {
+		return []float64{r.Stats.NodeDeadlinePct()}, nil
+	},
+}
+
+// Values returns the figure's metric indexed [policy][mix][series], in
+// PolicyNames and workload.Mixes(level) order.
+func (f PolicyFigure) Values(s *Sweep, level workload.Contention) ([][][]float64, error) {
+	mixes := workload.Mixes(level)
+	out := make([][][]float64, len(PolicyNames))
+	for i, p := range PolicyNames {
+		out[i] = make([][]float64, len(mixes))
+		for j, mix := range mixes {
+			r, err := s.Get(Scenario{Mix: mix, Contention: level, Policy: p})
 			if err != nil {
-				return err
+				return nil, err
 			}
-			dram, spad := res.Stats.MemoryEnergy()
-			dn, sn := dram/laxDram, spad/laxSpad
-			perDram[p] = append(perDram[p], dn)
-			perSpad[p] = append(perSpad[p], sn)
-			row = append(row, f2(dn), f2(sn))
+			if out[i][j], err = f.metric(s, r); err != nil {
+				return nil, err
+			}
 		}
-		t.AddRow(row...)
-		return nil
-	})
+	}
+	return out, nil
+}
+
+// Table tabulates the figure: one row per mix, one column per policy and
+// series, and a Gmean row.
+func (f PolicyFigure) Table(s *Sweep, level workload.Contention) (*Table, error) {
+	vals, err := f.Values(s, level)
 	if err != nil {
 		return nil, err
 	}
-	grow := []string{"Gmean"}
-	for _, p := range PolicyNames {
-		grow = append(grow, f2(gmean(perDram[p], 1e-3)), f2(gmean(perSpad[p], 1e-3)))
+	t := &Table{Title: fmt.Sprintf(f.title, level), Note: f.note, Cols: []string{"mix"}}
+	gm := []string{"Gmean"}
+	for i, p := range PolicyNames {
+		for k := range vals[i][0] {
+			if f.series == nil {
+				t.Cols = append(t.Cols, p)
+			} else {
+				t.Cols = append(t.Cols, p+" "+f.series[k])
+			}
+			col := make([]float64, len(vals[i]))
+			for j, v := range vals[i] {
+				col[j] = v[k]
+			}
+			gm = append(gm, f.format(gmean(col, f.eps)))
+		}
 	}
-	t.AddRow(grow...)
+	for j, mix := range workload.Mixes(level) {
+		row := []string{workload.MixName(mix)}
+		for i := range PolicyNames {
+			for _, v := range vals[i][j] {
+				row = append(row, f.format(v))
+			}
+		}
+		t.AddRow(row...)
+	}
+	t.AddRow(gm...)
 	return t, nil
 }
 
-// Fig7 reproduces Fig. 7: accelerator occupancy (sum of per-accelerator
-// busy compute time over end-to-end execution time; higher is better).
-func Fig7(s *Sweep, level workload.Contention) (*Table, error) {
-	t := &Table{Title: fmt.Sprintf("Figure 7 (%s contention): accelerator occupancy", level)}
-	t.Cols = append(t.Cols, "mix")
-	t.Cols = append(t.Cols, PolicyNames...)
-	per := make(map[string][]float64)
-	err := forEachMix(level, func(mix []workload.App, name string) error {
-		row := []string{name}
-		for _, p := range PolicyNames {
-			res, err := s.Get(Scenario{Mix: mix, Contention: level, Policy: p})
-			if err != nil {
-				return err
-			}
-			occ := res.Stats.Occupancy()
-			per[p] = append(per[p], occ)
-			row = append(row, f2(occ))
-		}
-		t.AddRow(row...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	grow := []string{"Gmean"}
-	for _, p := range PolicyNames {
-		grow = append(grow, f2(gmean(per[p], 1e-3)))
-	}
-	t.AddRow(grow...)
-	return t, nil
-}
+// Fig4 tabulates Figure4.
+func Fig4(s *Sweep, level workload.Contention) (*Table, error) { return Figure4.Table(s, level) }
 
-// Fig8 reproduces Fig. 8: percent of node deadlines met.
-func Fig8(s *Sweep, level workload.Contention) (*Table, error) {
-	t := &Table{Title: fmt.Sprintf("Figure 8 (%s contention): node deadlines met (%%)", level)}
-	t.Cols = append(t.Cols, "mix")
-	t.Cols = append(t.Cols, PolicyNames...)
-	per := make(map[string][]float64)
-	err := forEachMix(level, func(mix []workload.App, name string) error {
-		row := []string{name}
-		for _, p := range PolicyNames {
-			res, err := s.Get(Scenario{Mix: mix, Contention: level, Policy: p})
-			if err != nil {
-				return err
-			}
-			v := res.Stats.NodeDeadlinePct()
-			per[p] = append(per[p], v)
-			row = append(row, f1(v))
-		}
-		t.AddRow(row...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	grow := []string{"Gmean"}
-	for _, p := range PolicyNames {
-		grow = append(grow, f1(gmean(per[p], 0.1)))
-	}
-	t.AddRow(grow...)
-	return t, nil
-}
+// Fig5 tabulates Figure5.
+func Fig5(s *Sweep, level workload.Contention) (*Table, error) { return Figure5.Table(s, level) }
+
+// Fig6 tabulates Figure6 under high contention.
+func Fig6(s *Sweep) (*Table, error) { return Figure6.Table(s, workload.High) }
+
+// Fig7 tabulates Figure7.
+func Fig7(s *Sweep, level workload.Contention) (*Table, error) { return Figure7.Table(s, level) }
+
+// Fig8 tabulates Figure8.
+func Fig8(s *Sweep, level workload.Contention) (*Table, error) { return Figure8.Table(s, level) }
 
 // Fig9 reproduces Fig. 9 (high contention) or Fig. 10 (continuous
 // contention): per-application slowdown spread and DAG deadlines met, for
@@ -589,5 +549,3 @@ func Ablation(s *Sweep) (*Table, error) {
 	}
 	return t, nil
 }
-
-var _ = math.Inf // keep math imported for future use

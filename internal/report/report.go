@@ -18,39 +18,22 @@ func Generate(s *exp.Sweep, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	attr, err := buildAttribution()
+	// The per-node latency decomposition of the CGL high-contention mix
+	// under every policy — the "where does the time go" view that
+	// complements the figures. Metricised runs bypass the sweep cache by
+	// design, so this costs six extra simulations of one mix.
+	attr, _, err := exp.AttributionStudy("CGL", exp.PolicyNames, 0)
 	if err != nil {
 		return err
 	}
 	data := struct {
 		Charts []template.HTML
-		Attr   *attrTable
+		Attr   *exp.Table
 	}{Attr: attr}
 	for _, c := range charts {
 		data.Charts = append(data.Charts, template.HTML(c.SVG()))
 	}
 	return pageTmpl.Execute(w, data)
-}
-
-// attrTable carries the latency-attribution study into the page template.
-type attrTable struct {
-	Title string
-	Note  string
-	Cols  []string
-	Rows  [][]string
-}
-
-// buildAttribution reruns the CGL high-contention mix under every policy
-// with telemetry on and tabulates the per-node latency decomposition —
-// the "where does the time go" view that complements the figures above.
-// Metricised runs bypass the sweep cache by design, so this costs six extra
-// simulations of one mix.
-func buildAttribution() (*attrTable, error) {
-	t, _, err := exp.AttributionStudy("CGL", exp.PolicyNames, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &attrTable{Title: t.Title, Note: t.Note, Cols: t.Cols, Rows: t.Rows}, nil
 }
 
 func buildCharts(s *exp.Sweep) ([]*Chart, error) {
@@ -59,49 +42,36 @@ func buildCharts(s *exp.Sweep) ([]*Chart, error) {
 	for i, m := range mixes {
 		groups[i] = workload.MixName(m)
 	}
-	get := func(policy string, mix []workload.App) (*exp.Result, error) {
-		return s.Get(exp.Scenario{Mix: mix, Contention: workload.High, Policy: policy})
-	}
-
-	forwards := &Chart{
+	bars := []*Chart{{
 		Title:  "Figure 4c: forwards and colocations per edge (high contention)",
 		YLabel: "% of edges", Groups: groups, YMax: 100,
-	}
-	movement := &Chart{
+	}, {
 		Title:  "Figure 5c: data movement (% of all-DRAM baseline; light = SPAD-to-SPAD)",
 		YLabel: "% of baseline", Groups: groups, YMax: 100,
-	}
-	occupancy := &Chart{
+	}, {
 		Title:  "Figure 7c: accelerator occupancy (high contention)",
 		YLabel: "occupancy", Groups: groups, RefLine: 1,
-	}
-	deadlines := &Chart{
+	}, {
 		Title:  "Figure 8c: node deadlines met (high contention)",
 		YLabel: "% met", Groups: groups, YMax: 100,
-	}
-	for _, p := range exp.PolicyNames {
-		sf := Series{Name: p}
-		sm := Series{Name: p}
-		so := Series{Name: p}
-		sd := Series{Name: p}
-		for _, mix := range mixes {
-			res, err := get(p, mix)
-			if err != nil {
-				return nil, err
-			}
-			fwd, col := res.Stats.ForwardsPerEdge()
-			sf.Values = append(sf.Values, fwd)
-			sf.Stack = append(sf.Stack, col)
-			dram, spad := res.Stats.DataMovement()
-			sm.Values = append(sm.Values, dram)
-			sm.Stack = append(sm.Stack, spad)
-			so.Values = append(so.Values, res.Stats.Occupancy())
-			sd.Values = append(sd.Values, res.Stats.NodeDeadlinePct())
+	}}
+	// A figure's first series is the bar and its second, if any, the
+	// segment stacked on it.
+	for i, fig := range []exp.PolicyFigure{exp.Figure4, exp.Figure5, exp.Figure7, exp.Figure8} {
+		vals, err := fig.Values(s, workload.High)
+		if err != nil {
+			return nil, err
 		}
-		forwards.Series = append(forwards.Series, sf)
-		movement.Series = append(movement.Series, sm)
-		occupancy.Series = append(occupancy.Series, so)
-		deadlines.Series = append(deadlines.Series, sd)
+		for p, perMix := range vals {
+			ser := Series{Name: exp.PolicyNames[p]}
+			for _, v := range perMix {
+				ser.Values = append(ser.Values, v[0])
+				if len(v) > 1 {
+					ser.Stack = append(ser.Stack, v[1])
+				}
+			}
+			bars[i].Series = append(bars[i].Series, ser)
+		}
 	}
 
 	slow := &Chart{
@@ -117,7 +87,7 @@ func buildCharts(s *exp.Sweep) ([]*Chart, error) {
 		var boxes []Box
 		sd := Series{Name: p}
 		for _, mix := range mixes {
-			res, err := get(p, mix)
+			res, err := s.Get(exp.Scenario{Mix: mix, Contention: workload.High, Policy: p})
 			if err != nil {
 				return nil, err
 			}
@@ -136,7 +106,7 @@ func buildCharts(s *exp.Sweep) ([]*Chart, error) {
 		slow.Boxes = append(slow.Boxes, boxes)
 		dagDL.Series = append(dagDL.Series, sd)
 	}
-	return []*Chart{forwards, movement, occupancy, deadlines, slow, dagDL}, nil
+	return append(bars, slow, dagDL), nil
 }
 
 var pageTmpl = template.Must(template.New("report").Parse(`<!DOCTYPE html>

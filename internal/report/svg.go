@@ -2,7 +2,9 @@
 // with inline SVG charts — the counterpart of the paper artifact's
 // matplotlib scripts (plot_forwards.py, plot_data_movement.py,
 // plot_accelerator_occupancy.py, plot_slowdown.py, plot_deadlines_met.py),
-// built on the standard library only.
+// built on the standard library only. The Fig. 4c, 5c, 7c and 8c bars plot
+// the values of exp.Figure4, Figure5, Figure7 and Figure8, the same
+// definitions relief-bench renders as tables.
 package report
 
 import (
