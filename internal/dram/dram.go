@@ -235,6 +235,11 @@ func NewController(k *sim.Kernel, name string, cfg Config) *Controller {
 	if cfg.BurstBytes <= 0 || cfg.PageBytes <= 0 || cfg.Banks <= 0 || cfg.PageBytes%cfg.BurstBytes != 0 {
 		panic("dram: invalid geometry")
 	}
+	// A refresh must end before the next one is due, or each burst's stall
+	// spans more refresh intervals than the last and a request never ends.
+	if cfg.TREFI > 0 && cfg.TRFC >= cfg.TREFI {
+		panic("dram: tRFC must be shorter than tREFI")
+	}
 	if cfg.Channels < 1 {
 		cfg.Channels = 1
 	}

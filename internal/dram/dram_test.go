@@ -21,7 +21,9 @@ func TestPolicyString(t *testing.T) {
 func TestInvalidGeometryPanics(t *testing.T) {
 	partial := LPDDR5()
 	partial.PageBytes = 2048 + 32 // not a whole number of 64-byte bursts
-	for name, cfg := range map[string]Config{"zero": {}, "partial-burst page": partial} {
+	longRefresh := LPDDR5()
+	longRefresh.TREFI = longRefresh.TRFC // refresh stalls would compound
+	for name, cfg := range map[string]Config{"zero": {}, "partial-burst page": partial, "tRFC at tREFI": longRefresh} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
 				if recover() == nil {
