@@ -37,6 +37,11 @@ func one(fn func(*exp.Sweep) (*exp.Table, error)) generator {
 	}
 }
 
+// noSweep adapts a study that runs its own scenarios outside the sweep.
+func noSweep(fn func() (*exp.Table, error)) generator {
+	return one(func(*exp.Sweep) (*exp.Table, error) { return fn() })
+}
+
 func perLevel(fn func(*exp.Sweep, workload.Contention) (*exp.Table, error)) generator {
 	return func(s *exp.Sweep) ([]*exp.Table, error) {
 		var out []*exp.Table
@@ -51,58 +56,45 @@ func perLevel(fn func(*exp.Sweep, workload.Contention) (*exp.Table, error)) gene
 	}
 }
 
-var experiments = map[string]generator{
-	"table2": func(*exp.Sweep) ([]*exp.Table, error) {
-		t, err := exp.Table2()
-		if err != nil {
-			return nil, err
-		}
-		return []*exp.Table{t}, nil
-	},
-	"fig4": perLevel(exp.Fig4),
-	"fig5": perLevel(exp.Fig5),
-	"fig6": one(exp.Fig6),
-	"fig7": perLevel(exp.Fig7),
-	"fig8": perLevel(exp.Fig8),
-	"fig9": func(s *exp.Sweep) ([]*exp.Table, error) {
-		a, b, err := exp.Fig9(s, workload.High)
+// fairness is Fig. 9 (high contention) or Fig. 10 (continuous).
+func fairness(level workload.Contention) generator {
+	return func(s *exp.Sweep) ([]*exp.Table, error) {
+		a, b, err := exp.Fig9(s, level)
 		if err != nil {
 			return nil, err
 		}
 		return []*exp.Table{a, b}, nil
-	},
-	"fig10": func(s *exp.Sweep) ([]*exp.Table, error) {
-		a, b, err := exp.Fig9(s, workload.Continuous)
-		if err != nil {
-			return nil, err
-		}
-		return []*exp.Table{a, b}, nil
-	},
-	"table7":   one(exp.Table7),
-	"table8":   one(exp.Table8),
-	"fig11":    one(exp.Fig11),
-	"fig12":    one(exp.Fig12),
-	"fig13":    one(exp.Fig13),
-	"ablation": one(exp.Ablation),
-	"dram":     one(exp.DRAMStudy),
-	"energy":   one(exp.EnergyStudy),
-	"faults":   one(exp.FaultStudy),
-	"scaling":  one(exp.ScalingStudy),
-	"periodic": func(*exp.Sweep) ([]*exp.Table, error) {
-		t, err := exp.PeriodicStudy()
-		if err != nil {
-			return nil, err
-		}
-		return []*exp.Table{t}, nil
-	},
-	"tiled": func(*exp.Sweep) ([]*exp.Table, error) {
-		t, err := exp.TiledStudy()
-		if err != nil {
-			return nil, err
-		}
-		return []*exp.Table{t}, nil
-	},
-	"attribution": func(*exp.Sweep) ([]*exp.Table, error) {
+	}
+}
+
+type experiment struct {
+	name string
+	gen  generator
+}
+
+// experiments lists every experiment in its -exp all presentation order.
+var experiments = []experiment{
+	{"table2", noSweep(exp.Table2)},
+	{"fig4", perLevel(exp.Fig4)},
+	{"fig5", perLevel(exp.Fig5)},
+	{"fig6", one(exp.Fig6)},
+	{"fig7", perLevel(exp.Fig7)},
+	{"fig8", perLevel(exp.Fig8)},
+	{"fig9", fairness(workload.High)},
+	{"fig10", fairness(workload.Continuous)},
+	{"table7", one(exp.Table7)},
+	{"table8", one(exp.Table8)},
+	{"fig11", one(exp.Fig11)},
+	{"fig12", one(exp.Fig12)},
+	{"fig13", one(exp.Fig13)},
+	{"ablation", one(exp.Ablation)},
+	{"dram", one(exp.DRAMStudy)},
+	{"periodic", noSweep(exp.PeriodicStudy)},
+	{"tiled", noSweep(exp.TiledStudy)},
+	{"energy", one(exp.EnergyStudy)},
+	{"scaling", one(exp.ScalingStudy)},
+	{"faults", one(exp.FaultStudy)},
+	{"attribution", func(*exp.Sweep) ([]*exp.Table, error) {
 		t, regs, err := exp.AttributionStudy("CGL", exp.PolicyNames, 0)
 		if err != nil {
 			return nil, err
@@ -113,7 +105,16 @@ var experiments = map[string]generator{
 			}
 		}
 		return []*exp.Table{t}, nil
-	},
+	}},
+}
+
+func lookup(name string) (experiment, bool) {
+	for _, e := range experiments {
+		if e.name == name {
+			return e, true
+		}
+	}
+	return experiment{}, false
 }
 
 // metricsPrefix is the -metrics flag value; when set, the attribution
@@ -144,13 +145,6 @@ func exportRegistries(regs map[string]*metrics.Registry, prefix string) error {
 	return nil
 }
 
-// order fixes a presentation order for -exp all.
-var order = []string{
-	"table2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-	"table7", "table8", "fig11", "fig12", "fig13", "ablation", "dram",
-	"periodic", "tiled", "energy", "scaling", "faults", "attribution",
-}
-
 func main() {
 	expFlag := flag.String("exp", "all", "experiment to run (see -list)")
 	format := flag.String("format", "text", "output format: text or csv")
@@ -165,14 +159,14 @@ func main() {
 
 	if *list {
 		names := make([]string, 0, len(experiments))
-		for n := range experiments {
-			names = append(names, n)
+		for _, e := range experiments {
+			names = append(names, e.name)
 		}
 		sort.Strings(names)
 		fmt.Println(strings.Join(names, "\n"))
 		return
 	}
-	if _, ok := experiments[*expFlag]; !ok && *expFlag != "all" {
+	if _, ok := lookup(*expFlag); !ok && *expFlag != "all" {
 		fmt.Fprintf(os.Stderr, "relief-bench: unknown experiment %q (use -list)\n", *expFlag)
 		os.Exit(2)
 	}
@@ -187,12 +181,13 @@ func main() {
 }
 
 func run(w io.Writer, expName, format, jsonOut string, jobs int) error {
-	names := order
+	todo := experiments
 	if expName != "all" {
-		if _, ok := experiments[expName]; !ok {
+		e, ok := lookup(expName)
+		if !ok {
 			return fmt.Errorf("unknown experiment %q (use -list)", expName)
 		}
-		names = []string{expName}
+		todo = []experiment{e}
 	}
 	sweep := exp.NewSweep()
 	if expName == "all" && jobs > 1 {
@@ -201,10 +196,10 @@ func run(w io.Writer, expName, format, jsonOut string, jobs int) error {
 			return err
 		}
 	}
-	for _, name := range names {
-		tables, err := experiments[name](sweep)
+	for _, e := range todo {
+		tables, err := e.gen(sweep)
 		if err != nil {
-			return fmt.Errorf("%s: %v", name, err)
+			return fmt.Errorf("%s: %v", e.name, err)
 		}
 		for _, t := range tables {
 			switch format {
