@@ -6,7 +6,6 @@ import (
 
 	"relief/internal/accel"
 	"relief/internal/design"
-	"relief/internal/sched"
 	"relief/internal/sim"
 	"relief/internal/stats"
 	"relief/internal/workload"
@@ -172,7 +171,11 @@ func TiledStudy() (*Table, error) {
 }
 
 func runTiled(mix []workload.App, topo string) (*stats.Stats, float64, error) {
-	cfg, err := PlatformSpec{Instances: instancesOfEach(2), Topology: topo}.Resolve(mustPolicy("RELIEF"))
+	pol, err := NewPolicy("RELIEF")
+	if err != nil {
+		return nil, 0, err
+	}
+	cfg, err := PlatformSpec{Instances: instancesOfEach(2), Topology: topo}.Resolve(pol)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -200,14 +203,6 @@ func instancesOfEach(n int) map[string]int {
 		inst[k.String()] = n
 	}
 	return inst
-}
-
-func mustPolicy(name string) sched.Policy {
-	p, err := NewPolicy(name)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 // EnergyStudy is an extension of the paper's Fig. 6: a whole-SoC energy

@@ -10,18 +10,10 @@ import (
 
 // MixBySyms resolves a mix label like "CGL" into its application list.
 func MixBySyms(name string) ([]workload.App, error) {
-	var mix []workload.App
-	for i := 0; i < len(name); i++ {
-		a, err := workload.BySym(name[i])
-		if err != nil {
-			return nil, err
-		}
-		mix = append(mix, a)
-	}
-	if len(mix) == 0 {
+	if name == "" {
 		return nil, fmt.Errorf("exp: empty mix name")
 	}
-	return mix, nil
+	return workload.ParseMix(name)
 }
 
 // AttributionStudy runs one high-contention mix under each policy with a

@@ -57,7 +57,11 @@ func TestLoadPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := spec.Resolve(mustPolicy("RELIEF"))
+	pol, err := NewPolicy("RELIEF")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := spec.Resolve(pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +98,16 @@ func TestLoadPlatform(t *testing.T) {
 }
 
 func TestLoadPlatformRejects(t *testing.T) {
+	pol, err := NewPolicy("RELIEF")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range platformRejects {
 		spec, err := LoadPlatform(strings.NewReader(c))
 		if err != nil {
 			continue // rejected at parse time (unknown field)
 		}
-		if _, err := spec.Resolve(mustPolicy("RELIEF")); err == nil {
+		if _, err := spec.Resolve(pol); err == nil {
 			t.Errorf("spec %s accepted", c)
 		}
 	}

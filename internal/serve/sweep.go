@@ -114,11 +114,7 @@ func (sp SweepSpec) expand() ([]sweepCell, error) {
 			return nil, fmt.Errorf("serve: unknown contention level %q (want low, medium, high, or continuous)", lvl)
 		}
 		for _, mix := range workload.Mixes(c) {
-			var sym strings.Builder
-			for _, a := range mix {
-				sym.WriteString(a.Sym())
-			}
-			mixes = append(mixes, mixPoint{mix: sym.String(), continuous: c == workload.Continuous})
+			mixes = append(mixes, mixPoint{mix: exp.MixLabel(mix), continuous: c == workload.Continuous})
 		}
 		if len(mixes) > maxSweepCells {
 			return nil, errSweepTooLarge
