@@ -316,6 +316,32 @@ func BenchmarkEnergyStudy(b *testing.B) {
 	}
 }
 
+func BenchmarkFaultStudy(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := exp.FaultStudy(exp.NewSweep()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkScalingStudy(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := exp.ScalingStudy(exp.NewSweep()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAttributionStudy runs the CGL latency decomposition under every
+// Fig. 4 policy with telemetry on, as relief-bench -exp attribution does.
+func BenchmarkAttributionStudy(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, _, err := exp.AttributionStudy("CGL", exp.PolicyNames, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDRAMController measures the bank-level controller's burst
 // scheduling throughput.
 func BenchmarkDRAMController(b *testing.B) {
