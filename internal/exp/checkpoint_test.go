@@ -327,6 +327,7 @@ func TestCheckpointRestoreRejectsImpossibleState(t *testing.T) {
 		{"negative deaths", func(ck *manager.Checkpoint) { ck.Deaths = -3 }, "instance deaths"},
 		{"uncounted dead instance", func(ck *manager.Checkpoint) { ck.Instances[0].Health = int(accel.Dead) }, "instance deaths"},
 		{"negative free-at", func(ck *manager.Checkpoint) { ck.FreeAt = -1 }, "manager times"},
+		{"free-at after capture", func(ck *manager.Checkpoint) { ck.FreeAt = ck.CapturedAt + 1 }, "manager times"},
 		{"negative last-done", func(ck *manager.Checkpoint) { ck.LastDone = -1 }, "manager times"},
 		{"last-done after capture", func(ck *manager.Checkpoint) { ck.LastDone = math.MaxInt64 }, "manager times"},
 		{"negative compute busy", func(ck *manager.Checkpoint) { ck.Instances[0].ComputeBusy = -1 }, "compute busy"},

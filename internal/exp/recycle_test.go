@@ -178,16 +178,29 @@ func TestRecyclingChangesNoResult(t *testing.T) {
 }
 
 // TestRecyclingAcrossSweepWorkers: sweep workers share every template's
-// free list, so a DAG one worker's run retires may be reused by the
-// other's at once. Two workers over the continuous cells, late write-backs
-// included, give the same results as one worker with recycling off. Run it
-// under -race: a DAG retired while a DMA job still refers to it is written
-// by one worker after the other has taken it.
+// free list, so a DAG one worker's run retires, or frees when the run
+// ends, may be reused by the other's at once. Two workers over the
+// continuous cells, late write-backs included, and periodic cells whose
+// horizon cuts iterations in flight give the same results as one worker
+// with recycling off. Run it under -race: a DAG freed while a DMA job
+// still refers to it is written by one worker after the other has taken it.
 func TestRecyclingAcrossSweepWorkers(t *testing.T) {
 	grid := lateWritebackCells(t)
 	for _, sc := range MainGrid() {
 		if sc.Contention == workload.Continuous {
 			grid = append(grid, sc)
+		}
+	}
+	for _, syms := range []string{"CGL", "CCG", "DGH"} {
+		mix, err := workload.ParseMix(syms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, period := range []sim.Time{sim.Millisecond, 2 * sim.Millisecond} {
+			for _, p := range []string{"RELIEF", "FCFS"} {
+				grid = append(grid, Scenario{Mix: mix, Contention: workload.Contention(len(syms)), Policy: p,
+					Period: period, Horizon: 20*sim.Millisecond + period/2})
+			}
 		}
 	}
 	digest := func(workers int) string {
@@ -212,5 +225,38 @@ func TestRecyclingAcrossSweepWorkers(t *testing.T) {
 	defer graph.SetRecycling(prev)
 	if got := digest(2); got != want {
 		t.Errorf("two recycling workers diverged from one worker without recycling:\ngot  %.400s\nwant %.400s", got, want)
+	}
+}
+
+// TestRepeatedRunsCloneNothingCold: the end of a run frees every iteration
+// still live, so running the same looping scenario again reuses them all.
+// A second continuous CGL run and a periodic CGL run whose iterations
+// overlap at the horizon each stay within an allocation bound measured
+// when the end-of-run free landed (211 and 455); without it every run
+// cold-clones the iterations the previous one left live, about eight
+// allocations each (234 and 815).
+func TestRepeatedRunsCloneNothingCold(t *testing.T) {
+	mix, err := workload.ParseMix("CGL")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		sc        Scenario
+		maxAllocs float64
+	}{
+		{"continuous", Scenario{Mix: mix, Contention: workload.Continuous, Policy: "RELIEF"}, 222},
+		{"periodic", Scenario{Mix: mix, Contention: 3, Policy: "RELIEF",
+			Period: sim.Millisecond, Horizon: 20 * sim.Millisecond}, 480},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := Run(c.sc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %v allocations per run", c.name, allocs)
+		if allocs > c.maxAllocs {
+			t.Errorf("%s: a repeated run made %v allocations, want at most %v", c.name, allocs, c.maxAllocs)
+		}
 	}
 }

@@ -234,10 +234,12 @@ func submitMix(m *manager.Manager, sc Scenario) ([]*graph.DAG, error) {
 	return dags, nil
 }
 
-// freeDAGs hands the DAGs submitMix built back to their free lists. The
-// simulation they were submitted to must be finished or abandoned: nothing
-// may run on it again.
-func freeDAGs(dags []*graph.DAG) {
+// freeDAGs ends the simulation's hold on DAGs: it hands the DAGs submitMix
+// built, and every loop or periodic iteration the manager cloned that is
+// still live, back to their free lists. The simulation must be finished or
+// abandoned: nothing may run on it again.
+func (s *Sim) freeDAGs(dags []*graph.DAG) {
+	s.Manager.FreeLive()
 	for _, d := range dags {
 		d.Free()
 	}
@@ -246,10 +248,10 @@ func freeDAGs(dags []*graph.DAG) {
 // runScenario submits sc's schedule and drives it to sc's end: periodic
 // scenarios to their horizon, continuous contention to its cutoff, anything
 // else to completion. The Result refers to no DAG, so the submitted ones
-// are freed on every return.
+// and the iterations still live are freed on every return.
 func (s *Sim) runScenario(ctx context.Context, sc Scenario) (*Result, error) {
 	dags, err := submitMix(s.Manager, sc)
-	defer freeDAGs(dags)
+	defer s.freeDAGs(dags)
 	if err != nil {
 		return nil, err
 	}

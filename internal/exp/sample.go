@@ -197,7 +197,7 @@ func RunSampled(ctx context.Context, sc Scenario, windows int) (*Estimate, error
 		return nil, err
 	}
 	dags, err := submitMix(s.Manager, sc)
-	defer freeDAGs(dags)
+	defer s.freeDAGs(dags)
 	if err != nil {
 		return nil, err
 	}

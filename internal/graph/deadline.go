@@ -43,7 +43,7 @@ func (m DeadlineMode) String() string {
 // plus memory time at peak bandwidth, matching the paper's critical-path
 // analysis inputs).
 func AssignDeadlines(d *DAG, mode DeadlineMode, runtimeOf func(*Node) sim.Time) error {
-	order, err := d.topo()
+	order, err := d.order()
 	if err != nil {
 		return err
 	}
@@ -54,17 +54,14 @@ func AssignDeadlines(d *DAG, mode DeadlineMode, runtimeOf func(*Node) sim.Time) 
 		}
 		return nil
 	case DeadlineCPM:
-		rt := runtimes(d, runtimeOf)
-		after := cpAfter(d, order, rt)
+		rt, after, _ := pathTables(d, order, runtimeOf, false)
 		for i, n := range d.Nodes {
 			// Latest completion: D - (downstream critical path excluding n).
 			n.RelDeadline = d.Deadline - (after[i] - rt[i])
 		}
 		return nil
 	case DeadlineSDR:
-		rt := runtimes(d, runtimeOf)
-		after := cpAfter(d, order, rt)
-		upto := cpUpto(d, order, rt)
+		rt, after, upto := pathTables(d, order, runtimeOf, true)
 		for i, n := range d.Nodes {
 			path := upto[i] + after[i] - rt[i] // longest path through n
 			if path <= 0 {
@@ -79,58 +76,52 @@ func AssignDeadlines(d *DAG, mode DeadlineMode, runtimeOf func(*Node) sim.Time) 
 	return fmt.Errorf("graph: unknown deadline mode %v", mode)
 }
 
-// The critical-path tables below are indexed by node position, like the
-// order d.topo returns; an edge leads to the node at its ID's position.
-
-// runtimes evaluates runtimeOf once per node.
-func runtimes(d *DAG, runtimeOf func(*Node) sim.Time) []sim.Time {
-	rt := make([]sim.Time, len(d.Nodes))
-	for i, n := range d.Nodes {
-		rt[i] = runtimeOf(n)
+// pathTables returns the critical-path tables, cut from one buffer and
+// indexed by node position, like the order d.order returns (an edge leads
+// to the node at its ID's position): rt, runtimeOf evaluated once per
+// node; after, each node's longest runtime path from the node (inclusive)
+// to any sink; and, if withUpto, upto, each node's longest runtime path
+// from any source to the node (inclusive).
+func pathTables(d *DAG, order []int, runtimeOf func(*Node) sim.Time, withUpto bool) (rt, after, upto []sim.Time) {
+	n := len(d.Nodes)
+	cols := 2
+	if withUpto {
+		cols = 3
 	}
-	return rt
-}
-
-// cpAfter computes, for each node, the longest runtime path from the node
-// (inclusive) to any sink.
-func cpAfter(d *DAG, order []int, rt []sim.Time) []sim.Time {
-	after := make([]sim.Time, len(order))
+	buf := make([]sim.Time, cols*n)
+	rt, after = buf[:n], buf[n:2*n]
+	for i, nd := range d.Nodes {
+		rt[i] = runtimeOf(nd)
+	}
 	for k := len(order) - 1; k >= 0; k-- {
 		i := order[k]
 		var best sim.Time
 		for _, c := range d.Nodes[i].Children {
-			if after[c.ID] > best {
-				best = after[c.ID]
-			}
+			best = max(best, after[c.ID])
 		}
 		after[i] = best + rt[i]
 	}
-	return after
-}
-
-// cpUpto computes, for each node, the longest runtime path from any source
-// to the node (inclusive).
-func cpUpto(d *DAG, order []int, rt []sim.Time) []sim.Time {
-	upto := make([]sim.Time, len(order))
+	if !withUpto {
+		return rt, after, nil
+	}
+	upto = buf[2*n:]
 	for _, i := range order {
 		var best sim.Time
 		for _, p := range d.Nodes[i].Parents {
-			if upto[p.ID] > best {
-				best = upto[p.ID]
-			}
+			best = max(best, upto[p.ID])
 		}
 		upto[i] = best + rt[i]
 	}
-	return upto
+	return rt, after, upto
 }
 
 // CriticalPath returns the longest runtime path length in the DAG.
 func CriticalPath(d *DAG, runtimeOf func(*Node) sim.Time) (sim.Time, error) {
-	order, err := d.topo()
+	order, err := d.order()
 	if err != nil {
 		return 0, err
 	}
-	after := cpAfter(d, order, runtimes(d, runtimeOf))
+	_, after, _ := pathTables(d, order, runtimeOf, false)
 	var best sim.Time
 	for i, n := range d.Nodes {
 		if n.IsRoot() && after[i] > best {

@@ -148,13 +148,17 @@ type DAG struct {
 // refers to.
 type Resetter interface{ Reset() }
 
-// freeList holds freed DAGs of one shape for Clone to rewrite in place.
+// freeList is the record one DAG shape shares: freed DAGs of the shape
+// for Clone to rewrite in place, and the shape's topological order.
 // Finalize makes one per DAG it finalizes, and every clone shares its
 // source's, so a workload template, its per-scenario copies and their
 // loop and periodic iterations all draw from one list.
 type freeList struct {
 	mu   sync.Mutex
 	dags []*DAG
+	// order is what topo returned at Finalize. It is never written again:
+	// AddNode, the only way to change a shape, detaches the DAG instead.
+	order []int
 }
 
 // maxFree bounds a free list, so a burst of overlapping iterations does
@@ -257,18 +261,20 @@ func (d *DAG) NumEdges() int {
 // Finalize fills each node's nominal compute time from the calibrated
 // accelerator model, validates the graph is acyclic and every edge leads
 // to the node at its ID's position in this DAG, as Clone requires, and
-// gives the DAG a free list of its own shape for its clones to share. It
-// must be called once after construction, before deadline assignment.
+// gives the DAG a free list of its own shape, which keeps the shape's
+// topological order, for its clones to share. It must be called once after
+// construction, before deadline assignment.
 func (d *DAG) Finalize() error {
 	for _, n := range d.Nodes {
 		if n.Compute == 0 {
 			n.Compute = accel.ComputeTime(n.Kind, n.Op, n.Pixels, n.FilterSize)
 		}
 	}
-	if _, err := d.topo(); err != nil {
+	order, err := d.topo()
+	if err != nil {
 		return err
 	}
-	d.free = &freeList{}
+	d.free = &freeList{order: order}
 	return nil
 }
 
@@ -362,7 +368,7 @@ func (d *DAG) Free() {
 // TopoOrder returns the nodes in a dependency-respecting order, or an error
 // if the graph has a cycle.
 func (d *DAG) TopoOrder() ([]*Node, error) {
-	pos, err := d.topo()
+	pos, err := d.order()
 	if err != nil {
 		return nil, err
 	}
@@ -371,6 +377,15 @@ func (d *DAG) TopoOrder() ([]*Node, error) {
 		order[i] = d.Nodes[p]
 	}
 	return order, nil
+}
+
+// order returns what topo does, read from the shape's record when d is
+// finalized or cloned from a finalized DAG; the caller must not modify it.
+func (d *DAG) order() ([]int, error) {
+	if d.free != nil {
+		return d.free.order, nil
+	}
+	return d.topo()
 }
 
 // topo returns the positions in d.Nodes of a dependency-respecting order

@@ -214,7 +214,9 @@ func Restore(k *sim.Kernel, cfg Config, data []byte) (*Manager, *stats.Stats, er
 		return nil, nil, fmt.Errorf("manager: checkpoint kernel clock %v differs from its capture instant %v", ck.Kernel.Now, ck.CapturedAt)
 	}
 	// The manager's clocks are times the run has reached by the capture.
-	if ck.FreeAt < 0 || ck.LastDone < 0 || ck.LastDone > ck.CapturedAt {
+	// FreeAt too: while the core is busy past now, its launch pass is a
+	// pending event that is not replayable, and capture requires none.
+	if ck.FreeAt < 0 || ck.FreeAt > ck.CapturedAt || ck.LastDone < 0 || ck.LastDone > ck.CapturedAt {
 		return nil, nil, fmt.Errorf("manager: checkpoint manager times (free at %v, last done %v) outside [0, %v]", ck.FreeAt, ck.LastDone, ck.CapturedAt)
 	}
 	ck.Stats.Apps = make(map[string]*stats.AppStats, len(ck.Apps))

@@ -673,7 +673,7 @@ func (m *Manager) finishNode(n *graph.Node) {
 			next := it.origin.Clone()
 			next.Iteration = d.Iteration + 1
 			next.Loop = true
-			m.k.At(now, m.attach(next, it.origin).releaseFn)
+			m.k.At(now, m.attachClone(next, it.origin).releaseFn)
 		}
 		m.maybeRetire(it)
 	}

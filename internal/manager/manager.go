@@ -143,6 +143,11 @@ type Manager struct {
 	horizon  sim.Time // continuous-contention cutoff (0 = run to completion)
 	lastDone sim.Time // completion time of the last finished DAG
 
+	// live indexes the iterations the manager cloned that are not yet
+	// freed (iteration.livePos is each one's position), so FreeLive can
+	// free those the end of the run cut off.
+	live []*iteration
+
 	// Fault injection and recovery state (nil/empty without cfg.Fault).
 	inj    *fault.Injector
 	active []*graph.DAG // released, unfinished, unaborted DAGs
@@ -191,7 +196,8 @@ type isrRec struct {
 // It stays with the DAG through the DAG's free list, so an iteration that
 // reuses a retired DAG also reuses its node states and bound release
 // callback. A DAG the manager cloned for a loop or periodic release is
-// retired (see maybeRetire) once it has finished and nothing refers to it.
+// retired (see maybeRetire) once it has finished and nothing refers to it;
+// FreeLive frees the clones still live when the run ends.
 type iteration struct {
 	m *Manager
 	d *graph.DAG
@@ -209,6 +215,7 @@ type iteration struct {
 	// release of the instance a failed attempt ran on.
 	refs      int
 	releaseFn func() // bound release, scheduled as d's release event
+	livePos   int    // position in Manager.live while d is a live clone
 }
 
 // Reset drops what the record refers to when its DAG is freed, so a free
@@ -235,6 +242,37 @@ func (m *Manager) attach(d, origin *graph.DAG) *iteration {
 
 // iter returns the record attach put on a released DAG.
 func iter(d *graph.DAG) *iteration { return d.Ext.(*iteration) }
+
+// attachClone attaches a DAG cloned from origin and indexes it as live.
+func (m *Manager) attachClone(d, origin *graph.DAG) *iteration {
+	it := m.attach(d, origin)
+	it.livePos = len(m.live)
+	m.live = append(m.live, it)
+	return it
+}
+
+// freeClone drops a live clone from the index and frees its DAG.
+func (m *Manager) freeClone(it *iteration) {
+	last := len(m.live) - 1
+	m.live[it.livePos] = m.live[last]
+	m.live[it.livePos].livePos = it.livePos
+	m.live[last] = nil
+	m.live = m.live[:last]
+	it.d.Free()
+}
+
+// FreeLive frees every DAG the manager cloned for a loop or periodic
+// iteration that is still live: unfinished when the run stopped at its
+// horizon, finished with write-backs still pending, or aborted. Call it
+// once the simulation is over; nothing may run on the manager afterwards.
+// The caller's own DAGs are the caller's to free.
+func (m *Manager) FreeLive() {
+	for _, it := range m.live {
+		it.d.Free()
+	}
+	clear(m.live)
+	m.live = m.live[:0]
+}
 
 // retiredOutput occupies, in place of a retired iteration's node, every
 // partition still holding that node's output: the data stays resident, so
@@ -264,7 +302,7 @@ func (m *Manager) maybeRetire(it *iteration) {
 			inst.LastNode = nil
 		}
 	}
-	d.Free()
+	m.freeClone(it)
 }
 
 // nodeState is per-node forwarding bookkeeping (paper Table III/IV fields).
@@ -518,7 +556,7 @@ func (m *Manager) SubmitPeriodic(d *graph.DAG, period, until sim.Time) error {
 		m.k.AtReplay(t, func() {
 			next := d.Clone()
 			next.Iteration = iter
-			m.attach(next, d).release()
+			m.attachClone(next, d).release()
 		})
 	}
 	return nil
@@ -532,7 +570,7 @@ func (m *Manager) release(d *graph.DAG) {
 		// draining, and this DAG will be re-derived by the restored run. A
 		// clone made for the release is referenced by nothing.
 		if it.origin != d {
-			d.Free()
+			m.freeClone(it)
 		}
 		return
 	}

@@ -59,15 +59,15 @@ go test -race -short $(go list ./... | grep -v -e '^relief/internal/serve' -e '^
 echo "== bench smoke"
 # One iteration of the Fig. 4 grid, gated on its allocation count, which is
 # deterministic to within a few dozen objects at any GOMAXPROCS. The
-# ceiling sits about 10% above the 48,8xx allocs/op measured once DAGs
-# were recycled through per-shape free lists and deadlines were assigned
-# without maps (86,1xx with a clone per scenario and iteration; 805,4xx
-# with a build per scenario and a closure per completion; 914,881 with a
-# map entry per node; 5,391,296 before DMA transfer, claim and job records
-# were recycled), so a change that brings back per-scenario clones or
-# builds, or per-node, per-completion or per-transfer allocation, fails
-# here.
-fig4_alloc_ceiling=54000
+# ceiling sits about 10% above the 46,81x allocs/op measured once the end
+# of each run freed the iterations its horizon cut off and each shape
+# kept its topological order (48,8xx-49,01x before; 86,1xx with a clone
+# per scenario and iteration; 805,4xx with a build per scenario and a
+# closure per completion; 914,881 with a map entry per node; 5,391,296
+# before DMA transfer, claim and job records were recycled), so a change
+# that brings back per-scenario clones or builds, or per-node,
+# per-completion or per-transfer allocation, fails here.
+fig4_alloc_ceiling=51500
 go test -run '^$' -bench 'BenchmarkFig4$' -benchtime=1x -benchmem . >"$tmp/fig4.txt"
 cat "$tmp/fig4.txt"
 fig4_allocs="$(awk '/^BenchmarkFig4/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }' "$tmp/fig4.txt")"
@@ -79,14 +79,17 @@ fi
 # One continuous-contention CGL scenario, gated the same way and on its
 # bytes; the benchmark builds the per-process app templates in an untimed
 # first run. Each iteration reuses a retired DAG of its shape with its
-# node states, and releases and completions allocate nothing; the
-# ceilings sit about 10% above the 238 allocs/op and 178,4xx B/op measured
-# then (640 allocs/op and 1.24 MB/op with a clone and a state slice per
-# iteration, 15,94x allocs/op with a build per scenario and a closure per
-# completion, 17,92x with a map entry per node, 32,22x when each
-# iteration rebuilt its DAG), so a return to any of them fails here.
-cont_alloc_ceiling=265
-cont_bytes_ceiling=197000
+# node states, releases and completions allocate nothing, and the end of
+# the run frees the iterations the horizon cut off, so the next run clones
+# nothing cold; the ceilings sit about 10% above the 211 allocs/op and
+# 22,1xx B/op measured then (238 and 178,4xx B/op when every run
+# cold-cloned the iterations the previous one left live; 640 allocs/op
+# and 1.24 MB/op with a clone and a state slice per iteration, 15,94x
+# allocs/op with a build per scenario and a closure per completion, 17,92x
+# with a map entry per node, 32,22x when each iteration rebuilt its DAG),
+# so a return to any of them fails here.
+cont_alloc_ceiling=232
+cont_bytes_ceiling=24400
 go test -run '^$' -bench 'BenchmarkScenarioContinuous$' -benchtime=1x -benchmem . >"$tmp/cont.txt"
 cat "$tmp/cont.txt"
 cont_allocs="$(awk '/^BenchmarkScenarioContinuous/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }' "$tmp/cont.txt")"
