@@ -130,24 +130,20 @@ func randomBusyLoad(rng *rand.Rand) []arrival {
 	return load
 }
 
-// TestBusyTimeProperties: across randomized loads, configurations, and both
-// batching modes, BusyTime obeys busy <= now at every probe point (so it can
-// never exceed the final makespan) and is monotone in simulated time, even
-// while a virtual burst run is in flight.
+// TestBusyTimeProperties: across randomized loads and configurations,
+// BusyTime obeys busy <= now at every probe point (so it can never exceed
+// the final makespan) and is monotone in simulated time, even while a
+// virtual burst run is in flight.
 func TestBusyTimeProperties(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
-		for _, batched := range []bool{false, true} {
-			withBurstRuns(batched, func() {
-				rng := rand.New(rand.NewSource(seed))
-				cfg := randomBusyConfig(rng)
-				load := randomBusyLoad(rng)
-				probes := make([]sim.Time, 6)
-				for i := range probes {
-					probes[i] = sim.Time(rng.Int63n(int64(80 * sim.Microsecond)))
-				}
-				busyLoad(t, cfg, load, probes)
-			})
+		rng := rand.New(rand.NewSource(seed))
+		cfg := randomBusyConfig(rng)
+		load := randomBusyLoad(rng)
+		probes := make([]sim.Time, 6)
+		for i := range probes {
+			probes[i] = sim.Time(rng.Int63n(int64(80 * sim.Microsecond)))
 		}
+		busyLoad(t, cfg, load, probes)
 	}
 }
 
@@ -159,30 +155,26 @@ func TestBusyTimeProperties(t *testing.T) {
 // bus time.
 func TestBusyTimeMonotoneInAddedLoad(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
-		for _, batched := range []bool{false, true} {
-			withBurstRuns(batched, func() {
-				rng := rand.New(rand.NewSource(seed))
-				cfg := randomBusyConfig(rng)
-				base := randomBusyLoad(rng)
-				last := sim.Time(0)
-				for _, a := range base {
-					if a.at > last {
-						last = a.at
-					}
-				}
-				more := append(append([]arrival{}, base...), arrival{
-					at:   last + sim.Time(rng.Int63n(int64(10*sim.Microsecond))),
-					size: int64(1 + rng.Intn(4096*2)),
-				})
-				baseBusy, _ := busyLoad(t, cfg, base, nil)
-				moreBusy, _ := busyLoad(t, cfg, more, nil)
-				for i := range baseBusy {
-					if moreBusy[i] < baseBusy[i] {
-						t.Fatalf("seed %d batched=%v: channel %d busy fell from %v to %v after adding load",
-							seed, batched, i, baseBusy[i], moreBusy[i])
-					}
-				}
-			})
+		rng := rand.New(rand.NewSource(seed))
+		cfg := randomBusyConfig(rng)
+		base := randomBusyLoad(rng)
+		last := sim.Time(0)
+		for _, a := range base {
+			if a.at > last {
+				last = a.at
+			}
+		}
+		more := append(append([]arrival{}, base...), arrival{
+			at:   last + sim.Time(rng.Int63n(int64(10*sim.Microsecond))),
+			size: int64(1 + rng.Intn(4096*2)),
+		})
+		baseBusy, _ := busyLoad(t, cfg, base, nil)
+		moreBusy, _ := busyLoad(t, cfg, more, nil)
+		for i := range baseBusy {
+			if moreBusy[i] < baseBusy[i] {
+				t.Fatalf("seed %d: channel %d busy fell from %v to %v after adding load",
+					seed, i, baseBusy[i], moreBusy[i])
+			}
 		}
 	}
 }

@@ -112,17 +112,6 @@ type Controller struct {
 	Refreshes          int64
 }
 
-// burstRuns enables burst-run batching: serve resolves as many consecutive
-// scheduling decisions as are provably immune to concurrent arrivals in one
-// virtual pass and fires a single event for the whole run, instead of one
-// event per burst. Per channel this reproduces the per-burst reference
-// exactly; the one relaxation is cross-channel: two requests completing at
-// the same tick on different channels may deliver their callbacks in
-// either order (the paper platform is single-channel, where no such tie
-// can occur). Disabled only by tests that compare against per-burst
-// serving.
-var burstRuns = true
-
 // channel is one independent data bus with its own banks. Its queue holds
 // page segments, not bursts: a 4 KiB DMA chunk is 64 bursts but only two
 // or three segments, so enqueueing, window scans and removal cost per
@@ -161,20 +150,13 @@ func (ch *channel) push(s segment, n int32) {
 	ch.bursts += int(n)
 }
 
-// consume removes the first n bursts of the segment at absolute index i
-// (i >= ch.head). A segment left empty is removed by shifting the
-// [head, i) prefix right by one, so the cost is O(i-head), bounded by the
-// scheduling window.
+// consume removes the segment at absolute index i (i >= ch.head) by
+// shifting the [head, i) prefix right by one, so the cost is O(i-head),
+// bounded by the scheduling window.
 //
 //relief:hotpath
-func (ch *channel) consume(i, n int) {
-	ch.bursts -= n
-	s := &ch.queue[i]
-	if int(s.n) > n {
-		s.n -= int32(n)
-		s.extra = 0 // charged to the request's first burst only
-		return
-	}
+func (ch *channel) consume(i int) {
+	ch.bursts -= int(ch.queue[i].n)
 	copy(ch.queue[ch.head+1:i+1], ch.queue[ch.head:i])
 	ch.queue[ch.head] = segment{} // drop the request pointer for GC
 	ch.head++
@@ -200,8 +182,8 @@ type bank struct {
 }
 
 // segment is n consecutive bursts of one request that fall in one page,
-// so they share a channel, bank and row. Bursts leave a segment from its
-// front, so the bursts still queued stay consecutive.
+// so they share a channel, bank and row. serve takes a picked segment
+// whole.
 type segment struct {
 	row  int64
 	req  *request
@@ -528,15 +510,21 @@ func (c *Controller) pick(ch *channel) int {
 // the first pick an arrival could win (an FR-FCFS fallback-to-oldest, or a
 // drained queue); a single event then materializes the run's outcome.
 //
-// With burst runs on, a picked segment is served whole: once one of its
-// bursts is served its row is open, and no other bank's row changes, so
-// it stays the window's first row hit until it is empty. Its first burst
-// is priced on its own: it may cross a refresh boundary, miss, or carry an
-// injected stall. Every later burst picked strictly before the channel's
-// next refresh is a row hit costing TBurst+TGap, so that stretch is priced
-// in closed form; the first burst picked at or past the boundary goes back
-// through the per-burst path, which refreshes and misses. A segment thus
-// costs one step per refresh boundary it crosses, not one per burst.
+// A picked segment is served whole: once one of its bursts is served its
+// row is open, and no other bank's row changes, so it stays the window's
+// first row hit until it is empty. Its first burst is priced on its own:
+// it may cross a refresh boundary, miss, or carry an injected stall. Every
+// later burst picked strictly before the channel's next refresh is a row
+// hit costing TBurst+TGap, so that stretch is priced in closed form; the
+// first burst picked at or past the boundary goes back through the
+// per-burst path, which refreshes and misses. A segment thus costs one
+// step per refresh boundary it crosses, not one per burst.
+//
+// Per channel this reproduces a per-burst controller, one event per burst,
+// exactly. The one relaxation is cross-channel: two requests completing at
+// the same tick on different channels may deliver their callbacks in
+// either order (the paper platform is single-channel, where no such tie
+// can occur).
 //
 //relief:hotpath
 func (c *Controller) serve(ch *channel) {
@@ -568,12 +556,8 @@ func (c *Controller) serve(ch *channel) {
 			}
 		}
 		s := &ch.queue[i]
-		req, row, extra := s.req, s.row, s.extra
+		req, row, extra, n := s.req, s.row, s.extra, int(s.n)
 		bk := &ch.banks[s.bank]
-		n := 1
-		if burstRuns {
-			n = int(s.n)
-		}
 		for left := n; left > 0; {
 			lastPick = vnow
 			cost := hit + extra
@@ -625,13 +609,10 @@ func (c *Controller) serve(ch *channel) {
 				left -= k
 			}
 		}
-		ch.consume(i, n)
+		ch.consume(i)
 		req.shares[ch.idx] -= int32(n)
 		if req.shares[ch.idx] == 0 {
 			ch.fin = req
-			break
-		}
-		if !burstRuns {
 			break
 		}
 	}

@@ -4,14 +4,18 @@ import "relief/internal/sim"
 
 // refController is the controller as it was before the channel queue held
 // page segments: one queue entry per 64-byte burst, one pick and one take
-// per served burst. It is kept only as the differential test's reference
-// (TestSegmentQueueMatchesBurstQueue); it honours burstRuns the same way,
-// so both batching modes can be compared.
+// per served burst. It is kept only as the differential tests' reference.
+// By default it batches burst runs as Controller does
+// (TestSegmentQueueMatchesBurstQueue); with perBurst set it ends every run
+// after one burst, firing one event per burst
+// (TestBurstRunMatchesPerBurstReference).
 type refController struct {
 	k        *sim.Kernel
 	cfg      Config
+	perBurst bool
 	channels []*refChannel
 	cursor   int64
+	bytes    int64
 	fault    func(n int64) sim.Time
 
 	RowHits, RowMisses, Refreshes int64
@@ -102,6 +106,8 @@ func (c *refController) BusyTime() sim.Time {
 	return max
 }
 
+func (c *refController) BytesServed() int64 { return c.bytes }
+
 func (c *refController) QueueLen() int {
 	n := 0
 	for _, ch := range c.channels {
@@ -158,6 +164,7 @@ func (c *refController) Enqueue(n int64, done func()) {
 			c.serve(ch)
 		}
 	}
+	c.bytes += n
 }
 
 func (c *refController) catchUpRefresh(ch *refChannel) {
@@ -249,7 +256,7 @@ func (c *refController) serve(ch *refChannel) {
 			ch.fin = b.req
 			break
 		}
-		if !burstRuns {
+		if c.perBurst {
 			break
 		}
 	}

@@ -9,21 +9,14 @@ import (
 	"relief/internal/sim"
 )
 
-// withBurstRuns runs f under the given batching mode and restores the
-// previous mode afterwards.
-func withBurstRuns(enabled bool, f func()) {
-	prev := burstRuns
-	burstRuns = enabled
-	defer func() { burstRuns = prev }()
-	f()
-}
-
 // burstRunScenario drives one randomized controller workload — mixed
 // request sizes, staggered arrivals, chained dependent requests, random
 // policy/window/channel/refresh configuration — and renders the complete
 // completion order with timestamps, mid-flight busy samples, and final
-// statistics into a canonical string.
-func burstRunScenario(rng *rand.Rand) string {
+// statistics into a canonical string. build makes the controller under
+// test, as in diffScenario.
+func burstRunScenario(seed int64, build func(k *sim.Kernel, cfg Config) (queueModel, modelHooks)) string {
+	rng := rand.New(rand.NewSource(seed))
 	k := sim.NewKernel()
 	cfg := LPDDR5()
 	cfg.Policy = Policy(rng.Intn(2))
@@ -35,7 +28,7 @@ func burstRunScenario(rng *rand.Rand) string {
 	case 1:
 		cfg.TREFI = 500 * sim.Nanosecond // frequent refresh crossings
 	}
-	c := NewController(k, "dram", cfg)
+	c, hooks := build(k, cfg)
 
 	out := fmt.Sprintf("policy=%s win=%d ch=%d refi=%d\n",
 		cfg.Policy, cfg.WindowBursts, cfg.Channels, int64(cfg.TREFI))
@@ -93,21 +86,21 @@ func burstRunScenario(rng *rand.Rand) string {
 	}
 	end := k.Run()
 	flush()
+	st := hooks.counters()
 	out += fmt.Sprintf("end=%d bytes=%d busy=%d q=%d hits=%d misses=%d refr=%d\n",
-		int64(end), c.BytesServed(), int64(c.BusyTime()), c.QueueLen(),
-		c.RowHits, c.RowMisses, c.Refreshes)
+		int64(end), c.BytesServed(), int64(c.BusyTime()), c.QueueLen(), st[0], st[1], st[2])
 	return out
 }
 
 // TestBurstRunMatchesPerBurstReference is the batching oracle: across
 // randomized workloads and controller configurations, resolving burst runs
-// virtually must reproduce the per-burst reference's completion order,
-// completion times, busy accounting, and row/refresh statistics exactly.
+// virtually must reproduce the completion order, completion times, busy
+// accounting, and row/refresh statistics of refController serving one
+// burst per event.
 func TestBurstRunMatchesPerBurstReference(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
-		var ref, opt string
-		withBurstRuns(false, func() { ref = burstRunScenario(rand.New(rand.NewSource(seed))) })
-		withBurstRuns(true, func() { opt = burstRunScenario(rand.New(rand.NewSource(seed))) })
+		ref := burstRunScenario(seed, refModel(true))
+		opt := burstRunScenario(seed, segmentModel)
 		if ref != opt {
 			t.Fatalf("seed %d: burst-run batching diverged from per-burst reference\nreference:\n%s\nbatched:\n%s", seed, ref, opt)
 		}

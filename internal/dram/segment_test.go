@@ -9,11 +9,12 @@ import (
 	"relief/internal/sim"
 )
 
-// queueModel is what the differential test drives on both controllers.
+// queueModel is what the differential tests drive on both controllers.
 type queueModel interface {
 	Enqueue(n int64, done func())
 	SetFault(fn func(n int64) sim.Time)
 	BusyTime() sim.Time
+	BytesServed() int64
 	QueueLen() int
 	ChannelQueueLen(i int) int
 }
@@ -148,43 +149,41 @@ func segmentModel(k *sim.Kernel, cfg Config) (queueModel, modelHooks) {
 	}
 }
 
-func burstModel(k *sim.Kernel, cfg Config) (queueModel, modelHooks) {
-	c := newRefController(k, cfg)
-	return c, modelHooks{
-		counters: func() [3]int64 { return [3]int64{c.RowHits, c.RowMisses, c.Refreshes} },
-		seek:     func(addr int64) { c.cursor = addr },
+// refModel builds the reference controller: batched like Controller, or
+// serving one burst per event if perBurst is set.
+func refModel(perBurst bool) func(k *sim.Kernel, cfg Config) (queueModel, modelHooks) {
+	return func(k *sim.Kernel, cfg Config) (queueModel, modelHooks) {
+		c := newRefController(k, cfg)
+		c.perBurst = perBurst
+		return c, modelHooks{
+			counters: func() [3]int64 { return [3]int64{c.RowHits, c.RowMisses, c.Refreshes} },
+			seek:     func(addr int64) { c.cursor = addr },
+		}
 	}
 }
 
 // TestSegmentQueueMatchesBurstQueue is the differential test of the
-// segment queue against the per-burst queue it replaced (refController):
-// over random seeds covering unaligned sizes, fault stalls, one to three
-// channels, windows 0/4/64, refresh off, every 500 ns, every 3.9 us, every
-// eight bursts with all latencies on the burst grid (picks land exactly on
-// refresh boundaries) and more often than once a burst, both must complete the
-// same requests in the same order at the same times, report the same
-// queue lengths and busy times at every sample, count the same row hits,
-// misses and refreshes, and fire the same number of events — batched, and
-// one burst per event.
+// segment queue against the per-burst queue it replaced (refController,
+// batched): over random seeds covering unaligned sizes, fault stalls, one
+// to three channels, windows 0/4/64, refresh off, every 500 ns, every
+// 3.9 us, every eight bursts with all latencies on the burst grid (picks
+// land exactly on refresh boundaries) and more often than once a burst,
+// both must complete the same requests in the same order at the same
+// times, report the same queue lengths and busy times at every sample,
+// count the same row hits, misses and refreshes, and fire the same number
+// of events.
 func TestSegmentQueueMatchesBurstQueue(t *testing.T) {
 	seeds := int64(2000)
 	if testing.Short() {
 		seeds = 300
 	}
-	for _, batched := range []bool{true, false} {
-		withBurstRuns(batched, func() {
-			for seed := int64(0); seed < seeds; seed++ {
-				if !batched && seed%4 != 0 {
-					continue
-				}
-				want := diffScenario(seed, burstModel)
-				got := diffScenario(seed, segmentModel)
-				if got != want {
-					t.Fatalf("batched=%v seed %d: segment queue diverged from the per-burst queue\nper-burst:\n%s\nsegments:\n%s",
-						batched, seed, want, got)
-				}
-			}
-		})
+	for seed := int64(0); seed < seeds; seed++ {
+		want := diffScenario(seed, refModel(false))
+		got := diffScenario(seed, segmentModel)
+		if got != want {
+			t.Fatalf("seed %d: segment queue diverged from the per-burst queue\nper-burst:\n%s\nsegments:\n%s",
+				seed, want, got)
+		}
 	}
 }
 

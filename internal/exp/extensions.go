@@ -6,6 +6,7 @@ import (
 
 	"relief/internal/accel"
 	"relief/internal/design"
+	"relief/internal/graph"
 	"relief/internal/sim"
 	"relief/internal/stats"
 	"relief/internal/workload"
@@ -123,9 +124,15 @@ func runPeriodic(policyName string, mix []workload.App) (*stats.Stats, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The Stats refer to no DAG, so the submitted ones and the iterations
+	// still live are freed on every return, as in runScenario.
 	s := NewSim(cfg)
+	var dags []*graph.DAG
+	defer func() { s.freeDAGs(dags) }()
 	for _, app := range mix {
-		if err := s.Manager.SubmitPeriodic(workload.MustBuild(app), app.Deadline(), workload.ContinuousHorizon); err != nil {
+		d := workload.MustBuild(app)
+		dags = append(dags, d)
+		if err := s.Manager.SubmitPeriodic(d, app.Deadline(), workload.ContinuousHorizon); err != nil {
 			return nil, err
 		}
 	}

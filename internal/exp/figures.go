@@ -479,73 +479,56 @@ func Fig13(s *Sweep) (*Table, error) {
 }
 
 // Ablation evaluates the design choices DESIGN.md calls out, under high
-// contention, reporting per-variant geometric means across all mixes.
+// contention, reporting per-variant geometric means across all mixes. Each
+// column reads one series of a per-policy figure, in that figure's format
+// and Gmean clamp.
 func Ablation(s *Sweep) (*Table, error) {
-	type variant struct {
+	variants := []struct {
 		name string
-		sc   func(mix []workload.App) Scenario
+		set  func(sc *Scenario)
+	}{
+		{"RELIEF", func(*Scenario) {}},
+		{"no feasibility check", func(sc *Scenario) { sc.Policy = "RELIEF-NoFeas" }},
+		{"unbounded forwards", func(sc *Scenario) { sc.Policy = "RELIEF-Unbounded" }},
+		{"HetSched laxity base", func(sc *Scenario) { sc.Policy = "RELIEF-HetSched" }},
+		{"single output partition", func(sc *Scenario) { sc.Platform.OutputPartitions = 1 }},
+		{"triple output partition", func(sc *Scenario) { sc.Platform.OutputPartitions = 3 }},
+		{"always write back", func(sc *Scenario) { sc.Platform.AlwaysWriteBack = true }},
 	}
-	base := func(mix []workload.App) Scenario {
-		return Scenario{Mix: mix, Contention: workload.High, Policy: "RELIEF"}
-	}
-	variants := []variant{
-		{"RELIEF", base},
-		{"no feasibility check", func(m []workload.App) Scenario {
-			sc := base(m)
-			sc.Policy = "RELIEF-NoFeas"
-			return sc
-		}},
-		{"unbounded forwards", func(m []workload.App) Scenario {
-			sc := base(m)
-			sc.Policy = "RELIEF-Unbounded"
-			return sc
-		}},
-		{"HetSched laxity base", func(m []workload.App) Scenario {
-			sc := base(m)
-			sc.Policy = "RELIEF-HetSched"
-			return sc
-		}},
-		{"single output partition", func(m []workload.App) Scenario {
-			sc := base(m)
-			sc.Platform.OutputPartitions = 1
-			return sc
-		}},
-		{"triple output partition", func(m []workload.App) Scenario {
-			sc := base(m)
-			sc.Platform.OutputPartitions = 3
-			return sc
-		}},
-		{"always write back", func(m []workload.App) Scenario {
-			sc := base(m)
-			sc.Platform.AlwaysWriteBack = true
-			return sc
-		}},
-	}
+	cols := []struct {
+		fig    *PolicyFigure
+		series int
+	}{{&Figure4, 0}, {&Figure4, 1}, {&Figure5, 0}, {&Figure8, 0}, {&Figure7, 0}}
 	t := &Table{
 		Title: "Ablation (high contention, gmean over mixes)",
 		Cols:  []string{"variant", "fwd%", "col%", "dram%", "nodeDL%", "occupancy"},
 	}
 	for _, v := range variants {
-		var fwd, col, dram, dl, occ []float64
-		err := forEachMix(workload.High, func(mix []workload.App, name string) error {
-			res, err := s.Get(v.sc(mix))
+		vals := make([][]float64, len(cols))
+		err := forEachMix(workload.High, func(mix []workload.App, _ string) error {
+			sc := Scenario{Mix: mix, Contention: workload.High, Policy: "RELIEF"}
+			v.set(&sc)
+			r, err := s.Get(sc)
 			if err != nil {
 				return err
 			}
-			f, c := res.Stats.ForwardsPerEdge()
-			d, _ := res.Stats.DataMovement()
-			fwd = append(fwd, f)
-			col = append(col, c)
-			dram = append(dram, d)
-			dl = append(dl, res.Stats.NodeDeadlinePct())
-			occ = append(occ, res.Stats.Occupancy())
+			for i, c := range cols {
+				m, err := c.fig.metric(s, r)
+				if err != nil {
+					return err
+				}
+				vals[i] = append(vals[i], m[c.series])
+			}
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(v.name, f1(gmean(fwd, 0.1)), f1(gmean(col, 0.1)),
-			f1(gmean(dram, 0.1)), f1(gmean(dl, 0.1)), f2(gmean(occ, 1e-3)))
+		row := []string{v.name}
+		for i, c := range cols {
+			row = append(row, c.fig.format(gmean(vals[i], c.fig.eps)))
+		}
+		t.AddRow(row...)
 	}
 	return t, nil
 }

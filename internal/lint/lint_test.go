@@ -47,7 +47,7 @@ func TestAllowMulti(t *testing.T) {
 }
 
 func TestNoPanic(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.NoPanic, "relief", "relief/internal/workload")
+	analysistest.Run(t, "testdata", lint.NoPanic, "relief", "relief/internal/workload", "relief/internal/ckpt")
 }
 
 func TestWeakEvent(t *testing.T) {

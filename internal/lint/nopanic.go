@@ -10,18 +10,19 @@ import (
 
 // nopanicScope lists the packages whose exported surface promised, as of
 // the fault-injection PR, to report failures as errors: the public facade,
-// the workload builders, and the HTTP service (a panic in a handler kills
-// the connection and, in a worker, the whole process). A panic creeping
+// the workload builders, the HTTP service (a panic in a handler kills the
+// connection and, in a worker, the whole process), and the checkpoint
+// envelope, which decodes files from outside the process. A panic creeping
 // back in would crash a caller that correctly handles the error path.
-var nopanicScope = []string{"internal/workload", "internal/serve"}
+var nopanicScope = []string{"internal/workload", "internal/serve", "internal/ckpt"}
 
-// NoPanic forbids panic in the facade and workload-builder packages.
+// NoPanic forbids panic in the facade and the nopanicScope packages.
 // Functions named Must* are exempt: panicking on error is their documented
 // contract (MustBuild et al., mirroring regexp.MustCompile).
 var NoPanic = &analysis.Analyzer{
 	Name: "nopanic",
-	Doc: "forbid panic in the public facade and workload builders (converted " +
-		"to error returns in the fault PR); Must*-named helpers are exempt",
+	Doc: "forbid panic in the public facade, workload builders, HTTP service and " +
+		"checkpoint envelope (error returns since the fault PR); Must*-named helpers are exempt",
 	Run: runNoPanic,
 }
 
