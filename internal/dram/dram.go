@@ -257,6 +257,21 @@ func NewController(k *sim.Kernel, name string, cfg Config) *Controller {
 	return c
 }
 
+// Reset returns the controller to its state when built, for another
+// simulation on the same kernel: every bank closed, queues and statistics
+// empty, the address cursor and refresh schedule at their start, no fault
+// hook. It keeps the channels' queue and bank arrays, their bound event
+// callbacks and the free request records. A request still in flight is
+// dropped, not finished: the kernel's Reset drops its events.
+func (c *Controller) Reset() {
+	for _, ch := range c.channels {
+		clear(ch.queue)
+		clear(ch.banks)
+		*ch = channel{idx: ch.idx, queue: ch.queue[:0], banks: ch.banks, nextRefresh: max(c.cfg.TREFI, 0), runDone: ch.runDone, hop: ch.hop}
+	}
+	*c = Controller{k: c.k, cfg: c.cfg, name: c.name, channels: c.channels, pageBursts: c.pageBursts, free: c.free}
+}
+
 // Name implements mem.Server.
 func (c *Controller) Name() string { return c.name }
 

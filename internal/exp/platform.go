@@ -149,6 +149,13 @@ func (p PlatformSpec) appendKey(b []byte) []byte {
 		b = append(b, "invalid platform: "...)
 		return append(b, err.Error()...)
 	}
+	return appendPlatformKey(b, cfg)
+}
+
+// appendPlatformKey appends the canonical encoding of the platform a
+// resolved configuration describes (see appendKey); the policy, observers
+// and fault plan are not part of it.
+func appendPlatformKey(b []byte, cfg manager.Config) []byte {
 	b = strconv.AppendInt(b, int64(cfg.Interconnect.Topology), 10)
 	b = append(b, '|')
 	if _, isMax := cfg.BW.(*predict.Max); cfg.BW != nil && !isMax {

@@ -3,7 +3,11 @@ package exp
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"relief/internal/ckpt"
@@ -11,6 +15,7 @@ import (
 	"relief/internal/graph"
 	"relief/internal/metrics"
 	"relief/internal/sim"
+	"relief/internal/trace"
 	"relief/internal/workload"
 )
 
@@ -178,12 +183,16 @@ func TestRecyclingChangesNoResult(t *testing.T) {
 }
 
 // TestRecyclingAcrossSweepWorkers: sweep workers share every template's
-// free list, so a DAG one worker's run retires, or frees when the run
-// ends, may be reused by the other's at once. Two workers over the
-// continuous cells, late write-backs included, and periodic cells whose
-// horizon cuts iterations in flight give the same results as one worker
-// with recycling off. Run it under -race: a DAG freed while a DMA job
-// still refers to it is written by one worker after the other has taken it.
+// free list and the free list of finished simulations, so a DAG one
+// worker's run retires, or frees when the run ends, may be reused by the
+// other's at once, and a Sim one worker puts back is the next one the
+// other takes. Two workers over the continuous cells, late write-backs
+// included, periodic cells whose horizon cuts iterations in flight, and
+// cells on the crossbar and the detailed DRAM controller give the same
+// results as cold runs, one at a time, with no DAG recycled. Run it under
+// -race: a DAG freed while a DMA job still refers to it, or a Sim put back
+// while its run still writes to it, is written by one worker after the
+// other has taken it.
 func TestRecyclingAcrossSweepWorkers(t *testing.T) {
 	grid := lateWritebackCells(t)
 	for _, sc := range MainGrid() {
@@ -202,41 +211,54 @@ func TestRecyclingAcrossSweepWorkers(t *testing.T) {
 					Period: period, Horizon: 20*sim.Millisecond + period/2})
 			}
 		}
-	}
-	digest := func(workers int) string {
-		s := NewSweep()
-		s.Warm(grid, workers)
-		if err := s.Err(); err != nil {
-			t.Fatal(err)
-		}
-		var b bytes.Buffer
-		for _, sc := range grid {
-			r, err := s.Get(sc)
-			if err != nil {
-				t.Fatal(err)
+		for _, plat := range []PlatformSpec{{Topology: "xbar"}, {DetailedDRAM: true}, {DetailedDRAM: true, DRAMPolicy: "fcfs"}} {
+			for _, p := range []string{"RELIEF", "LAX"} {
+				grid = append(grid, Scenario{Mix: mix, Contention: workload.High, Policy: p, Platform: plat})
 			}
-			fmt.Fprintf(&b, "ev=%d %s", r.Stats.EventsFired, faultDigestLine(sc, r))
 		}
-		return b.String()
 	}
+	var want, got bytes.Buffer
 	prev := graph.SetRecycling(false)
-	want := digest(1)
+	for _, sc := range grid {
+		r := coldRun(t, sc)
+		fmt.Fprintf(&want, "ev=%d %s", r.Stats.EventsFired, faultDigestLine(sc, r))
+	}
 	graph.SetRecycling(true)
 	defer graph.SetRecycling(prev)
-	if got := digest(2); got != want {
-		t.Errorf("two recycling workers diverged from one worker without recycling:\ngot  %.400s\nwant %.400s", got, want)
+	recycled, _ := SimCounts()
+	s := NewSweep()
+	s.Warm(grid, 2)
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range grid {
+		r, err := s.Get(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "ev=%d %s", r.Stats.EventsFired, faultDigestLine(sc, r))
+	}
+	if got.String() != want.String() {
+		t.Errorf("two recycling workers diverged from cold runs without recycling:\ngot  %.400s\nwant %.400s", got.String(), want.String())
+	}
+	if r, _ := SimCounts(); r-recycled < int64(len(grid)/2) {
+		t.Errorf("two workers recycled %d Sims over %d cells", r-recycled, len(grid))
 	}
 }
 
 // TestRepeatedRunsCloneNothingCold: the end of a run frees every iteration
-// still live, so running the same looping scenario again reuses them all.
-// A second continuous CGL run and a periodic CGL run whose iterations
-// overlap at the horizon each stay within an allocation bound measured
-// when the end-of-run free landed (211 and 455); without it every run
-// cold-clones the iterations the previous one left live, about eight
-// allocations each (234 and 815). The periodic study's own runner
-// (runPeriodic, one period per application's deadline) is held the same
-// way: 261 allocations, 302 without its free.
+// still live, so running the same looping scenario again reuses them all,
+// and each periodic DAG schedules its releases through one bound record,
+// not a closure per release. A second continuous CGL run and a periodic
+// CGL run whose iterations overlap at the horizon each stay within an
+// allocation bound measured once finished simulations were recycled and
+// periodic releases lost their closures (24 and 127). Before that they
+// made 211 and 455 (234 and 815 when every run cold-cloned the iterations
+// the previous one left live). Most of the periodic run's remainder is
+// iterations cold-cloned past the 16 DAGs a shape's free list keeps. The
+// periodic study's own runner (runPeriodic, one period per application's
+// deadline, on a cold simulation) is held the same way: 244 allocations,
+// 261 with a closure per release, 302 without the end-of-run free.
 func TestRepeatedRunsCloneNothingCold(t *testing.T) {
 	mix, err := workload.ParseMix("CGL")
 	if err != nil {
@@ -250,10 +272,10 @@ func TestRepeatedRunsCloneNothingCold(t *testing.T) {
 		run       func() error
 		maxAllocs float64
 	}{
-		{"continuous", scenario(Scenario{Mix: mix, Contention: workload.Continuous, Policy: "RELIEF"}), 222},
+		{"continuous", scenario(Scenario{Mix: mix, Contention: workload.Continuous, Policy: "RELIEF"}), 30},
 		{"periodic", scenario(Scenario{Mix: mix, Contention: 3, Policy: "RELIEF",
-			Period: sim.Millisecond, Horizon: 20 * sim.Millisecond}), 480},
-		{"periodic study", func() error { _, err := runPeriodic("RELIEF", mix); return err }, 285},
+			Period: sim.Millisecond, Horizon: 20 * sim.Millisecond}), 140},
+		{"periodic study", func() error { _, err := runPeriodic("RELIEF", mix); return err }, 255},
 	} {
 		allocs := testing.AllocsPerRun(100, func() {
 			if err := c.run(); err != nil {
@@ -263,6 +285,231 @@ func TestRepeatedRunsCloneNothingCold(t *testing.T) {
 		t.Logf("%s: %v allocations per run", c.name, allocs)
 		if allocs > c.maxAllocs {
 			t.Errorf("%s: a repeated run made %v allocations, want at most %v", c.name, allocs, c.maxAllocs)
+		}
+	}
+}
+
+// coldRun runs sc on a simulation built for it, as RunContext did before
+// finished simulations were recycled.
+func coldRun(t *testing.T, sc Scenario) *Result {
+	t.Helper()
+	cfg, err := sc.managerConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewSim(cfg).runScenario(context.Background(), sc)
+	if err != nil {
+		t.Fatalf("%s: %v", ScenarioKey(sc), err)
+	}
+	return r
+}
+
+// runDigest renders what a recycled run must reproduce bit for bit: the
+// digest line, the kernel's event count and the DRAM row-hit rate's bits.
+func runDigest(sc Scenario, r *Result) string {
+	return fmt.Sprintf("%sevents=%d rowhit=%016x", scenarioDigestLine(sc, r), r.Stats.EventsFired, math.Float64bits(r.RowHitRate))
+}
+
+// simState renders the state a Sim on the free list carries into its next
+// run: the kernel's clock, sequence number and counters, the accounting of
+// every link, of the DRAM resource or of every bank and channel of the
+// detailed controller, and every instance's run state. A reset Sim must
+// render exactly as a new one.
+func simState(t *testing.T, s *Sim) string {
+	t.Helper()
+	k, m := s.Kernel, s.Manager
+	out := fmt.Sprintf("kernel %+v fired=%d pending=%d allocs=%d\n", k.CaptureState(), k.Fired(), k.Pending(), k.EventAllocs())
+	ic, err := m.Interconnect().CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out += fmt.Sprintf("links %+v occupancy %+v", ic.Links, ic.Occ)
+	if ic.DRAM != nil {
+		out += fmt.Sprintf(" dram %+v", *ic.DRAM)
+	}
+	out += "\n"
+	if dc := m.DRAMController(); dc != nil {
+		st, err := dc.CaptureState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out += fmt.Sprintf("dram %+v queued=%d\n", st, dc.QueueLen())
+	}
+	for _, inst := range m.Instances() {
+		out += fmt.Sprintf("%s busy=%v next=%d compute=%d health=%v last=%v", inst.Lane(), inst.Busy, inst.NextPart,
+			inst.ComputeBusy, inst.Health, inst.LastNode != nil)
+		for _, p := range inst.Parts {
+			out += fmt.Sprintf(" [%v %d]", p.Node != nil, p.OngoingReads)
+		}
+		out += "\n"
+	}
+	return out
+}
+
+// pooledSims returns a copy of the free list of finished simulations.
+func pooledSims() []*Sim {
+	freeSims.mu.Lock()
+	defer freeSims.mu.Unlock()
+	return slices.Clone(freeSims.sims)
+}
+
+// midwayCtx reads as live when Drive starts a run and as cancelled from
+// the kernel's first interrupt poll on, so the run stops a few thousand
+// events in, with transfers, DRAM requests and events in flight.
+type midwayCtx struct {
+	context.Context
+	done  chan struct{}
+	polls int
+}
+
+func newMidwayCtx() *midwayCtx {
+	c := &midwayCtx{Context: context.Background(), done: make(chan struct{})}
+	close(c.done)
+	return c
+}
+
+func (c *midwayCtx) Done() <-chan struct{} { return c.done }
+
+func (c *midwayCtx) Err() error {
+	if c.polls++; c.polls == 1 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestRecycledSimMatchesCold: a run on a recycled simulation reports
+// exactly what a cold run of its scenario reports. A seeded shuffle runs
+// every scenario twice through RunContext, so each runs on a Sim an
+// earlier scenario of its platform left on the free list: every contention
+// level, periodic cells whose horizon cuts iterations in flight, the
+// detailed DRAM controller under FR-FCFS, FCFS and two channels, the
+// crossbar, and the bandwidth and data-movement predictors. Between them
+// run a cancelled run, which must not return its Sim, and runs with
+// metrics, a trace or a fault plan, which must bypass the list. After
+// every plain run the Sim it put back must carry the state of a new one.
+func TestRecycledSimMatchesCold(t *testing.T) {
+	mix := func(syms string) []workload.App {
+		m, err := workload.ParseMix(syms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	var cells []Scenario
+	for _, lvl := range []workload.Contention{workload.Low, workload.Medium, workload.High, workload.Continuous} {
+		for i, m := range workload.Mixes(lvl) {
+			if i%3 == 0 {
+				for _, p := range []string{"RELIEF", "FCFS", "LAX", "HetSched"} {
+					cells = append(cells, Scenario{Mix: m, Contention: lvl, Policy: p})
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		syms           string
+		period, horizn sim.Time
+	}{{"CGL", sim.Millisecond, 20*sim.Millisecond + sim.Millisecond/2}, {"DGH", 2 * sim.Millisecond, 15 * sim.Millisecond}} {
+		for _, p := range []string{"RELIEF", "GEDF-D"} {
+			cells = append(cells, Scenario{Mix: mix(c.syms), Contention: workload.Contention(len(c.syms)), Policy: p,
+				Period: c.period, Horizon: c.horizn})
+		}
+	}
+	for _, plat := range []PlatformSpec{
+		{DetailedDRAM: true},
+		{DetailedDRAM: true, DRAMPolicy: "fcfs"},
+		{DetailedDRAM: true, DRAMChannels: 2},
+		{Topology: "xbar"},
+		{BWPredictor: "last"},
+		{BWPredictor: "average"},
+		{BWPredictor: "ewma", PredictDM: true},
+	} {
+		for _, c := range []struct {
+			syms string
+			lvl  workload.Contention
+		}{{"CGL", workload.Continuous}, {"CDGH", workload.High}} {
+			for _, p := range []string{"RELIEF", "GEDF-N"} {
+				cells = append(cells, Scenario{Mix: mix(c.syms), Contention: c.lvl, Policy: p, Platform: plat})
+			}
+		}
+	}
+	want := make([]string, len(cells))
+	for i, sc := range cells {
+		want[i] = runDigest(sc, coldRun(t, sc))
+	}
+	fresh := map[string]string{}
+	paper := Scenario{Mix: mix("CGL"), Contention: workload.Continuous, Policy: "RELIEF"}
+	bypass := []struct {
+		name string
+		sc   Scenario
+	}{
+		{"metrics", Scenario{Mix: paper.Mix, Contention: paper.Contention, Policy: paper.Policy, Metrics: metrics.NewRegistry()}},
+		{"trace", Scenario{Mix: paper.Mix, Contention: paper.Contention, Policy: paper.Policy, Trace: trace.NewRecorder()}},
+		{"faults", Scenario{Mix: paper.Mix, Contention: paper.Contention, Policy: paper.Policy, Faults: fault.Profile(0.05, 7)}},
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	order := append(rng.Perm(len(cells)), rng.Perm(len(cells))...)
+	disturbAt := map[int]int{}
+	for d, step := range rng.Perm(len(order))[:len(bypass)+1] {
+		disturbAt[step] = d
+	}
+	for step, i := range order {
+		sc := cells[i]
+		res, err := RunContext(context.Background(), sc)
+		if err != nil {
+			t.Fatalf("%s: %v", ScenarioKey(sc), err)
+		}
+		if got := runDigest(sc, res); got != want[i] {
+			t.Errorf("step %d, %s: a recycled run differs from a cold one:\ngot  %.600s\nwant %.600s", step, ScenarioKey(sc), got, want[i])
+		}
+		pool := pooledSims()
+		s := pool[len(pool)-1]
+		cfg, err := sc.managerConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := string(appendPlatformKey(nil, cfg))
+		if s.key != key {
+			t.Fatalf("step %d: the newest free Sim has key %q, want %q", step, s.key, key)
+		}
+		if _, ok := fresh[key]; !ok {
+			fresh[key] = simState(t, NewSim(cfg))
+		}
+		if got := simState(t, s); got != fresh[key] {
+			t.Errorf("step %d, %s: a reset Sim differs from a new one:\ngot  %s\nwant %s", step, ScenarioKey(sc), got, fresh[key])
+		}
+
+		d, ok := disturbAt[step]
+		if !ok {
+			continue
+		}
+		if d == len(bypass) {
+			// A run cancelled mid-way takes the Sim a plain run of its
+			// platform just put back, and drops it.
+			if _, err := RunContext(context.Background(), paper); err != nil {
+				t.Fatal(err)
+			}
+			before := pooledSims()
+			recycled, cold := SimCounts()
+			if _, err := RunContext(newMidwayCtx(), paper); !errors.Is(err, context.Canceled) {
+				t.Fatalf("step %d: a run cancelled mid-way returned %v", step, err)
+			}
+			r, c := SimCounts()
+			if after := pooledSims(); r != recycled+1 || c != cold || !slices.Equal(after, before[:len(before)-1]) {
+				t.Errorf("step %d: the cancelled run went %d recycled, %d cold, and left %d of %d Sims on the free list",
+					step, r-recycled, c-cold, len(after), len(before))
+			}
+			continue
+		}
+		recycled, cold := SimCounts()
+		b := bypass[d]
+		before := pooledSims()
+		if _, err := RunContext(context.Background(), b.sc); err != nil {
+			t.Fatalf("step %d, %s: %v", step, b.name, err)
+		}
+		r, c := SimCounts()
+		if r != recycled || c != cold+1 || !slices.Equal(pooledSims(), before) {
+			t.Errorf("step %d: a run with %s did not bypass the free list (%d recycled, %d cold)", step, b.name, r-recycled, c-cold)
 		}
 	}
 }

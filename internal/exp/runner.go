@@ -7,6 +7,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"relief/internal/ckpt"
 	"relief/internal/core"
@@ -119,12 +122,41 @@ func Run(sc Scenario) (*Result, error) {
 // thousand events) and the context's error is returned with a nil Result —
 // an abandoned run never leaks partial statistics. This is the entry point
 // the serving layer (internal/serve) drives.
+//
+// A run with no observer and no fault plan takes a finished simulation of
+// its platform from a free list when there is one, and puts it back, reset,
+// once it returns without error; a recycled run reports exactly what a
+// cold one does (docs/MODEL.md, "Simulation lifecycle").
 func RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 	cfg, err := sc.managerConfig()
 	if err != nil {
 		return nil, err
 	}
-	return NewSim(cfg).runScenario(ctx, sc)
+	if sc.Trace != nil || sc.Metrics != nil || sc.Faults != nil {
+		simsCold.Add(1)
+		return NewSim(cfg).runScenario(ctx, sc)
+	}
+	var buf [128]byte
+	key := appendPlatformKey(buf[:0], cfg)
+	s := freeSims.take(key)
+	if s == nil {
+		simsCold.Add(1)
+		s = NewSim(cfg)
+		s.key = string(key)
+	} else {
+		simsRecycled.Add(1)
+		s.Stats = stats.New()
+		s.Manager.Reuse(cfg, s.Stats)
+	}
+	res, err := s.runScenario(ctx, sc)
+	if err != nil {
+		return nil, err // a cancelled or failed run's simulation is dropped
+	}
+	s.Kernel.Reset()
+	s.Manager.Reset()
+	s.Stats = nil
+	freeSims.put(s)
+	return res, nil
 }
 
 // Sim is the lifecycle every simulation goes through: NewSim or RestoreSim
@@ -135,6 +167,8 @@ type Sim struct {
 	Kernel  *sim.Kernel
 	Manager *manager.Manager
 	Stats   *stats.Stats
+
+	key string // the platform's key (appendPlatformKey) on the free list
 }
 
 // NewSim builds a cold simulation of the platform cfg describes.
@@ -142,6 +176,54 @@ func NewSim(cfg manager.Config) *Sim {
 	k := sim.NewKernel()
 	st := stats.New()
 	return &Sim{Kernel: k, Manager: manager.New(k, cfg, st), Stats: st}
+}
+
+// maxFreeSims bounds the free list of finished simulations in total: it
+// holds a few per platform for the workers running it, and a stream of
+// distinct platforms only turns it over.
+const maxFreeSims = 8
+
+// simList is the free list of finished simulations RunContext recycles,
+// reset and keyed by their platform. It is shared by every goroutine, and
+// once it is full a new entry drops the oldest.
+type simList struct {
+	mu   sync.Mutex
+	sims []*Sim //relief:guardedby mu
+}
+
+var freeSims simList
+
+// simsRecycled and simsCold count RunContext's runs on a simulation from
+// the free list and on one built cold (SimCounts).
+var simsRecycled, simsCold atomic.Int64
+
+// SimCounts reports how many RunContext runs in this process recycled a
+// finished simulation of their platform and how many built one cold:
+// those with an observer or a fault plan, and those that found none free.
+func SimCounts() (recycled, cold int64) { return simsRecycled.Load(), simsCold.Load() }
+
+// take removes and returns the newest free simulation whose platform key
+// is key, or nil.
+func (l *simList) take(key []byte) *Sim {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := len(l.sims) - 1; i >= 0; i-- {
+		if s := l.sims[i]; s.key == string(key) {
+			l.sims = slices.Delete(l.sims, i, i+1)
+			return s
+		}
+	}
+	return nil
+}
+
+// put adds a reset simulation, dropping the oldest entry when full.
+func (l *simList) put(s *Sim) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.sims) == maxFreeSims {
+		l.sims = slices.Delete(l.sims, 0, 1)
+	}
+	l.sims = append(l.sims, s)
 }
 
 // errTraceCheckpoint refuses tracing across a capture or restore: the

@@ -101,6 +101,17 @@ func newInstance(m *Manager, index int, kind accel.Kind, partitions int) *Instan
 	return inst
 }
 
+// reset returns the instance to its state when built (Manager.Reset),
+// keeping its partitions, its DMA queue's array and its free job records.
+func (inst *Instance) reset() {
+	for _, b := range inst.Parts {
+		*b = OutBuf{}
+	}
+	clear(inst.dmaQueue)
+	*inst = Instance{m: inst.m, Index: inst.Index, Kind: inst.Kind, Parts: inst.Parts, compFn: inst.compFn,
+		dmaQueue: inst.dmaQueue[:0], dmaFree: inst.dmaFree}
+}
+
 // Lane returns the instance's display label for traces.
 func (inst *Instance) Lane() string {
 	return fmt.Sprintf("%s#%d", inst.Kind, inst.Index)

@@ -216,6 +216,10 @@ type iteration struct {
 	refs      int
 	releaseFn func() // bound release, scheduled as d's release event
 	livePos   int    // position in Manager.live while d is a live clone
+	// periodicFn, bound on d's first SubmitPeriodic, is the release event
+	// of d's later iterations; nextIter numbers the next one it releases.
+	periodicFn func()
+	nextIter   int
 }
 
 // Reset drops what the record refers to when its DAG is freed, so a free
@@ -369,22 +373,7 @@ func New(k *sim.Kernel, cfg Config, st *stats.Stats) *Manager {
 // newManager builds a manager, cold (resumeAt == 0) or restored from a
 // checkpoint captured at resumeAt (see Restore in checkpoint.go).
 func newManager(k *sim.Kernel, cfg Config, st *stats.Stats, resumeAt sim.Time) *Manager {
-	if cfg.Policy == nil {
-		panic("manager: nil policy")
-	}
-	if cfg.OutputPartitions <= 0 {
-		cfg.OutputPartitions = 2
-	}
-	total := 0
-	for _, c := range cfg.Instances {
-		total += c
-	}
-	if cfg.Interconnect.Instances != total {
-		cfg.Interconnect.Instances = total
-	}
-	if cfg.BW == nil {
-		cfg.BW = &predict.Max{Peak: cfg.Interconnect.DRAMBandwidth}
-	}
+	cfg = cfg.withDefaults()
 	var dc *dram.Controller
 	if cfg.DetailedDRAM && cfg.Interconnect.DRAMServer == nil {
 		dcfg := dram.LPDDR5()
@@ -396,28 +385,16 @@ func newManager(k *sim.Kernel, cfg Config, st *stats.Stats, resumeAt sim.Time) *
 		cfg.Interconnect.DRAMServer = dc
 	}
 	m := &Manager{
-		k:        k,
-		cfg:      cfg,
-		dram:     dc,
-		ic:       xbar.New(k, cfg.Interconnect),
-		st:       st,
-		policy:   cfg.Policy,
-		resumeAt: resumeAt,
+		k:    k,
+		dram: dc,
+		ic:   xbar.New(k, cfg.Interconnect),
 	}
 	m.launchFn = m.launchPass
 	m.idleFn = m.idleCount
-	if e, ok := cfg.Policy.(sched.Escalator); ok {
-		m.esc = e
-	}
-	m.pred = &predict.Runtime{
-		BW:           cfg.BW,
-		DM:           cfg.DM,
-		BusBandwidth: cfg.Interconnect.BusBandwidth,
-		// Feasibility and max-forwards bookkeeping see the live instance
-		// count, so permanently dead instances leave every policy's
-		// feasibility set.
-		InstancesOf: func(kind int) int { return m.liveCount(kind) },
-	}
+	// Feasibility and max-forwards bookkeeping see the live instance
+	// count, so permanently dead instances leave every policy's
+	// feasibility set.
+	m.pred = &predict.Runtime{InstancesOf: func(kind int) int { return m.liveCount(kind) }}
 	idx := 0
 	for kind := accel.Kind(0); kind < accel.NumKinds; kind++ {
 		for i := 0; i < cfg.Instances[kind]; i++ {
@@ -430,19 +407,95 @@ func newManager(k *sim.Kernel, cfg Config, st *stats.Stats, resumeAt sim.Time) *
 	for kind := range m.queues {
 		m.qptrs = append(m.qptrs, &m.queues[kind])
 	}
+	m.configure(cfg, st, resumeAt)
+	return m
+}
+
+// withDefaults fills the configuration's unset fields: the output
+// partitions, the interconnect's port count and the bandwidth predictor.
+func (cfg Config) withDefaults() Config {
+	if cfg.Policy == nil {
+		panic("manager: nil policy")
+	}
+	if cfg.OutputPartitions <= 0 {
+		cfg.OutputPartitions = 2
+	}
+	total := 0
+	for _, c := range cfg.Instances {
+		total += c
+	}
+	cfg.Interconnect.Instances = total
+	if cfg.BW == nil {
+		cfg.BW = &predict.Max{Peak: cfg.Interconnect.DRAMBandwidth}
+	}
+	return cfg
+}
+
+// configure binds a built or Reset manager to one run: the configuration's
+// policy, predictors and observers, the statistics sink, and the fault
+// plan with its scripted deaths.
+func (m *Manager) configure(cfg Config, st *stats.Stats, resumeAt sim.Time) {
+	m.cfg, m.st, m.policy, m.resumeAt = cfg, st, cfg.Policy, resumeAt
+	m.esc, _ = cfg.Policy.(sched.Escalator)
+	*m.pred = predict.Runtime{
+		BW:           cfg.BW,
+		DM:           cfg.DM,
+		BusBandwidth: cfg.Interconnect.BusBandwidth,
+		InstancesOf:  m.pred.InstancesOf,
+	}
 	if cfg.Fault != nil {
 		m.inj = cfg.Fault.NewInjector()
-		if dc != nil {
-			dc.SetFault(m.inj.DRAM)
+		if m.dram != nil {
+			m.dram.SetFault(m.inj.DRAM)
 		}
 		m.scheduleDeaths(cfg.Fault)
 	}
 	if cfg.Metrics.Enabled() {
 		m.met = cfg.Metrics
 		m.registerMetrics()
-		m.met.StartProbes(k, cfg.MetricsInterval)
+		m.met.StartProbes(m.k, cfg.MetricsInterval)
 	}
-	return m
+}
+
+// Reset returns the manager to its state when built, bound to no run, so
+// the simulation can run again on the same platform; the caller resets
+// the kernel too. The manager keeps what earlier runs grew: its instances
+// with their partitions, DMA queues and free DMA job records, the
+// interconnect and DRAM controller (each reset, with their free transfer
+// and request records), the ready queues' and live index's arrays, the
+// free interrupt records and the bound callbacks. Every other field, one
+// added later included, is zeroed. The run must be over and its live
+// iterations freed (FreeLive); Reuse binds the manager to its next run.
+func (m *Manager) Reset() {
+	for _, inst := range m.insts {
+		inst.reset()
+	}
+	for kind := range m.queues {
+		clear(m.queues[kind])
+		m.queues[kind] = m.queues[kind][:0]
+	}
+	m.ic.Reset()
+	if m.dram != nil {
+		m.dram.Reset()
+	}
+	*m.pred = predict.Runtime{InstancesOf: m.pred.InstancesOf}
+	clear(m.live)
+	*m = Manager{
+		k: m.k, ic: m.ic, dram: m.dram, pred: m.pred,
+		queues: m.queues, qptrs: m.qptrs, insts: m.insts, byKind: m.byKind, live: m.live[:0],
+		launchFn: m.launchFn, idleFn: m.idleFn, isrFree: m.isrFree,
+	}
+}
+
+// Reuse binds a manager that Reset emptied to a new cold run, as New binds
+// a new one. cfg must describe the platform the manager was built for;
+// its policy, predictors, observers and fault plan are the run's own.
+func (m *Manager) Reuse(cfg Config, st *stats.Stats) {
+	cfg = cfg.withDefaults()
+	if m.dram != nil {
+		cfg.Interconnect.DRAMServer = m.dram
+	}
+	m.configure(cfg, st, 0)
 }
 
 // Interconnect exposes the interconnect for occupancy reporting.
@@ -547,19 +600,31 @@ func (m *Manager) SubmitPeriodic(d *graph.DAG, period, until sim.Time) error {
 	if err := m.Submit(d, 0); err != nil {
 		return err
 	}
-	for t, iter := period, 1; t < until; t, iter = t+period, iter+1 {
+	it := m.attach(d, d)
+	if it.periodicFn == nil {
+		it.periodicFn = it.releasePeriodic
+	}
+	it.nextIter = 1
+	for t := period; t < until; t += period {
 		if t < m.resumeAt {
 			// Restored run: as in Submit (a checkpoint is only taken with no
 			// DAG in flight, so every pre-capture release is accounted for).
+			it.nextIter++
 			continue
 		}
-		m.k.AtReplay(t, func() {
-			next := d.Clone()
-			next.Iteration = iter
-			m.attachClone(next, d).release()
-		})
+		m.k.AtReplay(t, it.periodicFn)
 	}
 	return nil
+}
+
+// releasePeriodic is a periodic DAG's release event: it releases a clone
+// of the DAG as the next iteration. The events fire in release order, so
+// counting them numbers the iterations.
+func (it *iteration) releasePeriodic() {
+	next := it.d.Clone()
+	next.Iteration = it.nextIter
+	it.nextIter++
+	it.m.attachClone(next, it.d).release()
 }
 
 // release makes d's roots ready. d carries an iteration record (attach).

@@ -31,6 +31,9 @@ func NewOccupancy(k *sim.Kernel) *Occupancy {
 	return &Occupancy{k: k}
 }
 
+// Reset empties the tracker for another simulation on the same kernel.
+func (o *Occupancy) Reset() { *o = Occupancy{k: o.k} }
+
 // linkBusy records a busy transition of an attached resource.
 func (o *Occupancy) linkBusy(busy bool) {
 	if o.cl != nil {

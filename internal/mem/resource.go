@@ -88,6 +88,16 @@ func NewResource(k *sim.Kernel, name string, bytesPerSec float64) *Resource {
 	return r
 }
 
+// Reset returns the resource to its state when built, attached to the same
+// occupancy tracker, for another simulation on the same kernel. It keeps
+// the FIFO's array and the free list of transfer records, so the next
+// simulation starts with what this one grew. A request or transfer still
+// in flight is dropped, not finished: the kernel's Reset drops its events.
+func (r *Resource) Reset() {
+	clear(r.q)
+	*r = Resource{k: r.k, name: r.name, psPerByte: r.psPerByte, q: r.q[:0], servedFn: r.servedFn, occ: r.occ, free: r.free}
+}
+
 // Name returns the resource's name.
 func (r *Resource) Name() string { return r.name }
 

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"relief/internal/exp"
 	"relief/internal/metrics"
 )
 
@@ -145,6 +146,12 @@ func newServiceMetrics(cacheLen func() int) *serviceMetrics {
 		"Simulations currently executing.", count(&m.running))
 	r.GaugeFunc("relief_serve_cache_entries",
 		"Results held in the LRU cache.", func() float64 { return float64(cacheLen()) })
+	r.CounterFunc("relief_serve_sims_recycled_total",
+		"Simulations run on a reset simulation of the same platform from the process's free list.",
+		func() float64 { n, _ := exp.SimCounts(); return float64(n) })
+	r.CounterFunc("relief_serve_sims_cold_total",
+		"Simulations run on a newly built simulation: traced, metricised or faulty runs, and runs that found none free.",
+		func() float64 { _, n := exp.SimCounts(); return float64(n) })
 	m.lat = r.Histogram("relief_serve_request_latency_ms",
 		"End-to-end request latency (admission to response) in milliseconds.")
 	m.reg = r

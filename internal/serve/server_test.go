@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -387,6 +388,53 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !bytes.Contains(b, []byte(want)) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// metricValue reads one unlabelled series from the server's /metrics.
+func metricValue(t *testing.T, url, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no %s", name)
+	return 0
+}
+
+// TestMetricsCountRecycledSims: /metrics shows whether a run recycled a
+// finished simulation of its platform or built one cold. Of two cold
+// requests on one platform, one after the other, the second runs on the
+// simulation the first put back.
+func TestMetricsCountRecycledSims(t *testing.T) {
+	s := New(Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	recycled := metricValue(t, ts.URL, "relief_serve_sims_recycled_total")
+	cold := metricValue(t, ts.URL, "relief_serve_sims_cold_total")
+	for _, body := range []string{`{"mix":"CGL","policy":"RELIEF","topology":"xbar"}`, `{"mix":"CGL","policy":"FCFS","topology":"xbar"}`} {
+		if resp, b := post(t, ts.URL, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", body, resp.StatusCode, b)
+		}
+	}
+	r := metricValue(t, ts.URL, "relief_serve_sims_recycled_total") - recycled
+	c := metricValue(t, ts.URL, "relief_serve_sims_cold_total") - cold
+	if r < 1 || r+c != 2 {
+		t.Errorf("two runs on one platform counted %v recycled and %v cold, want at least one recycled of two", r, c)
 	}
 }
 

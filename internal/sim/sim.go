@@ -114,8 +114,23 @@ func (k *Kernel) Scheduled() uint64 { return k.seq }
 
 // EventAllocs reports how many Event structs were heap-allocated, i.e. how
 // often Schedule/At missed the free list. In steady state this stops
-// growing: the ratio Scheduled/EventAllocs is the pool's reuse factor.
+// growing: the ratio Scheduled/EventAllocs is the pool's reuse factor. A
+// kernel that Reset recycled starts with the pool its earlier runs grew,
+// so its count falls with no change to the events it fires.
 func (k *Kernel) EventAllocs() uint64 { return k.allocs }
+
+// Reset returns the kernel to NewKernel's state, clock and counters at
+// zero, for another simulation. It keeps the Event pool and the heap's
+// array: every queued event goes back on the pool with its callback
+// cleared, so the reset kernel pins nothing of the run it held, and
+// handles to those events must not be used again.
+func (k *Kernel) Reset() {
+	for i, e := range k.queue {
+		k.recycle(e)
+		k.queue[i] = nil
+	}
+	*k = Kernel{queue: k.queue[:0], free: k.free}
+}
 
 // Schedule arranges for fn to run delay picoseconds from now. A negative
 // delay is treated as zero. The returned event may be cancelled.

@@ -113,6 +113,24 @@ func New(k *sim.Kernel, cfg Config) *Interconnect {
 	return ic
 }
 
+// Reset returns the interconnect to its state when built, for another
+// simulation on the same kernel: its links, the DRAM resource it owns and
+// the union-occupancy tracker are emptied, and the paths are kept. An
+// injected DRAM server (the bank-level controller) is its owner's to
+// reset.
+func (ic *Interconnect) Reset() {
+	ic.occ.Reset()
+	if ic.bus != nil {
+		ic.bus.Reset()
+	}
+	for _, p := range ic.ports {
+		p.(*mem.Resource).Reset()
+	}
+	if dr, ok := ic.dram.(*mem.Resource); ok {
+		dr.Reset()
+	}
+}
+
 // buildPaths lays out the path of every (src, dst) pair over the endpoints
 // DRAM and 0..instances-1, all sharing one backing array.
 func (ic *Interconnect) buildPaths(instances int) {

@@ -59,15 +59,17 @@ go test -race -short $(go list ./... | grep -v -e '^relief/internal/serve' -e '^
 echo "== bench smoke"
 # One iteration of the Fig. 4 grid, gated on its allocation count, which is
 # deterministic to within a few dozen objects at any GOMAXPROCS. The
-# ceiling sits about 10% above the 46,81x allocs/op measured once the end
+# ceiling sits about 10% above the 9,22x allocs/op measured once a
+# finished simulation was reset and reused by the next run on its
+# platform (46,81x when every run built its simulation cold, once the end
 # of each run freed the iterations its horizon cut off and each shape
-# kept its topological order (48,8xx-49,01x before; 86,1xx with a clone
+# kept its topological order; 48,8xx-49,01x before that; 86,1xx with a clone
 # per scenario and iteration; 805,4xx with a build per scenario and a
 # closure per completion; 914,881 with a map entry per node; 5,391,296
 # before DMA transfer, claim and job records were recycled), so a change
-# that brings back per-scenario clones or builds, or per-node,
-# per-completion or per-transfer allocation, fails here.
-fig4_alloc_ceiling=51500
+# that brings back per-scenario simulations, clones or builds, or
+# per-node, per-completion or per-transfer allocation, fails here.
+fig4_alloc_ceiling=10200
 go test -run '^$' -bench 'BenchmarkFig4$' -benchtime=1x -benchmem . >"$tmp/fig4.txt"
 cat "$tmp/fig4.txt"
 fig4_allocs="$(awk '/^BenchmarkFig4/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }' "$tmp/fig4.txt")"
@@ -81,15 +83,17 @@ fi
 # first run. Each iteration reuses a retired DAG of its shape with its
 # node states, releases and completions allocate nothing, and the end of
 # the run frees the iterations the horizon cut off, so the next run clones
-# nothing cold; the ceilings sit about 10% above the 211 allocs/op and
-# 22,1xx B/op measured then (238 and 178,4xx B/op when every run
+# nothing cold, and the run takes the simulation the previous run of its
+# platform reset and put back; the ceilings sit about 10% above the 26
+# allocs/op and 6,200 B/op measured then (211 and 22,1xx B/op when every
+# run built its simulation cold; 238 and 178,4xx B/op when every run
 # cold-cloned the iterations the previous one left live; 640 allocs/op
 # and 1.24 MB/op with a clone and a state slice per iteration, 15,94x
 # allocs/op with a build per scenario and a closure per completion, 17,92x
 # with a map entry per node, 32,22x when each iteration rebuilt its DAG),
 # so a return to any of them fails here.
-cont_alloc_ceiling=232
-cont_bytes_ceiling=24400
+cont_alloc_ceiling=29
+cont_bytes_ceiling=6800
 go test -run '^$' -bench 'BenchmarkScenarioContinuous$' -benchtime=1x -benchmem . >"$tmp/cont.txt"
 cat "$tmp/cont.txt"
 cont_allocs="$(awk '/^BenchmarkScenarioContinuous/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }' "$tmp/cont.txt")"
@@ -107,11 +111,14 @@ fi
 
 # One detailed-DRAM study (the high-contention grid on the bank-level
 # controller), gated the same way. The ceiling sits about 10% above the
-# 16,22x allocs/op measured once DAGs were recycled and deadlines were
-# assigned without maps (25,8xx before; 413,5xx with one queue entry per
-# 64-byte burst and a record per request), so a return to per-scenario
-# clones, per-burst or per-request allocation fails here.
-dram_alloc_ceiling=17800
+# 4,39x allocs/op measured once finished simulations, the controller's
+# queues and request records with them, were reused per platform (16,22x
+# when every run built its simulation cold, once DAGs were recycled and
+# deadlines were assigned without maps; 25,8xx before; 413,5xx with one
+# queue entry per 64-byte burst and a record per request), so a return to
+# per-scenario simulations or clones, per-burst or per-request allocation
+# fails here.
+dram_alloc_ceiling=4850
 go test -run '^$' -bench 'BenchmarkDRAMStudy$' -benchtime=1x -benchmem . >"$tmp/dram.txt"
 cat "$tmp/dram.txt"
 dram_allocs="$(awk '/^BenchmarkDRAMStudy/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }' "$tmp/dram.txt")"
