@@ -22,8 +22,9 @@ const spillExt = ".json"
 
 // spillEnvelope is the durable form of one cached result: the digest it
 // is addressed by, a sha256 over the payload bytes, and the payload
-// itself (the Result's JSON). A crashed write, a truncated file, or any
-// bit rot fails the checksum and the entry is discarded instead of served.
+// itself (the Result's JSON). An empty or torn file (an unsynced write
+// lost to an OS crash) or any bit rot fails decoding or the checksum, and
+// the entry is discarded instead of served.
 type spillEnvelope struct {
 	Schema  string          `json:"schema"`
 	Digest  string          `json:"digest"`
@@ -32,14 +33,18 @@ type spillEnvelope struct {
 }
 
 // diskCache is the write-through spill of the in-memory result LRU: one
-// file per digest under dir, written atomically (temp file + fsync +
-// rename), verified by checksum on load, and bounded to cap entries —
+// file per digest under dir, written atomically (temp file + rename, no
+// fsync), verified by checksum on load, and bounded to cap entries —
 // evictions from the memory LRU are mirrored here, and a startup prune
 // enforces the bound against leftovers from previous processes.
 //
 // A restarted replica pointed at the same directory warm-starts its share
 // of the keyspace: the first request for a previously computed digest is
-// a disk hit, not a re-simulation.
+// a disk hit, not a re-simulation. A process crash loses nothing (the
+// page cache outlives the process); an OS crash or power loss can leave
+// the most recently spilled files empty or torn under their final names,
+// and each such file is one verified miss: load rejects it by checksum,
+// counts it, deletes it, and the scenario re-simulates.
 type diskCache struct {
 	dir string
 	cap int
@@ -98,20 +103,25 @@ func validSpillKey(key string) bool {
 	return true
 }
 
-// store spills one result write-through: marshal, checksum, write to a
-// temp file in the same directory, fsync, rename over the final name.
+// store spills one result write-through and deletes the spill files of
+// the memory LRU's evicted keys: it encodes and checksums outside the
+// lock, then, under one d.mu acquisition, unlinks the evicted files and
+// writes the result's file through atomicWrite. Evictions go first, so
+// the over-cap safety prune (which works by recency, not LRU order) has
+// nothing left to do.
 // Failures are counted, never fatal — the entry simply stays memory-only.
-func (d *diskCache) store(key string, res *Result) {
+func (d *diskCache) store(key string, res *Result, evicted ...string) {
+	env, err := encodeSpill(key, res)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.removeLocked(evicted)
 	if !validSpillKey(key) {
 		return
 	}
-	env, err := encodeSpill(key, res)
 	if err != nil {
 		d.spillErrors.Add(1)
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	final := d.path(key)
 	_, statErr := os.Stat(final)
 	fresh := errors.Is(statErr, fs.ErrNotExist)
@@ -129,9 +139,10 @@ func (d *diskCache) store(key string, res *Result) {
 	}
 }
 
-// atomicWrite writes data to a temp file in dir, fsyncs it, and renames
-// it over final, so a crash at any point leaves either the old file or
-// the new one — never a torn write under the final name.
+// atomicWrite writes data to a temp file in dir and renames it over
+// final, so no reader ever sees a partial file under the final name. It
+// does not fsync: after an OS crash the renamed file may come back empty
+// or torn, which the envelope's checksum turns into a counted miss.
 func atomicWrite(dir, final string, data []byte) error {
 	f, err := os.CreateTemp(dir, ".spill-*")
 	if err != nil {
@@ -139,11 +150,6 @@ func atomicWrite(dir, final string, data []byte) error {
 	}
 	tmp := f.Name()
 	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -189,23 +195,43 @@ func (d *diskCache) load(key string) (*Result, bool) {
 	return res, true
 }
 
-// encodeSpill wraps one result in its checksummed spill envelope.
+// errSpillKey rejects a key that Request.Digest cannot produce.
+var errSpillKey = errors.New("serve: invalid spill key")
+
+// encodeSpill wraps one result in its checksummed spill envelope. The
+// envelope is assembled around the one marshalled payload, byte for byte
+// what json.Marshal(spillEnvelope{...}) writes: the key is plain hex and
+// the payload is already compact, HTML-escaped JSON, so re-marshalling
+// would only scan it again.
 func encodeSpill(key string, res *Result) ([]byte, error) {
+	if !validSpillKey(key) {
+		return nil, errSpillKey
+	}
 	payload, err := json.Marshal(res)
 	if err != nil {
 		return nil, err
 	}
 	sum := sha256.Sum256(payload)
-	return json.Marshal(spillEnvelope{
-		Schema:  SpillSchema,
-		Digest:  key,
-		Sum:     hex.EncodeToString(sum[:]),
-		Payload: payload,
-	})
+	const (
+		head = `{"schema":"` + SpillSchema + `","digest":"`
+		mid  = `","sum":"`
+		tail = `","payload":`
+	)
+	b := make([]byte, 0, len(head)+len(key)+len(mid)+hex.EncodedLen(len(sum))+len(tail)+len(payload)+1)
+	b = append(b, head...)
+	b = append(b, key...)
+	b = append(b, mid...)
+	b = hex.AppendEncode(b, sum[:])
+	b = append(b, tail...)
+	b = append(b, payload...)
+	return append(b, '}'), nil
 }
 
 // decodeSpill verifies and unwraps one spill file's bytes.
 func decodeSpill(key string, b []byte) (*Result, bool) {
+	if !validSpillKey(key) {
+		return nil, false
+	}
 	var env spillEnvelope
 	if err := json.Unmarshal(b, &env); err != nil {
 		return nil, false
@@ -229,6 +255,11 @@ func decodeSpill(key string, b []byte) (*Result, bool) {
 func (d *diskCache) remove(keys ...string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.removeLocked(keys)
+}
+
+// removeLocked is remove's body. Caller holds d.mu.
+func (d *diskCache) removeLocked(keys []string) {
 	for _, key := range keys {
 		if !validSpillKey(key) {
 			continue

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -277,8 +279,10 @@ func TestPruneEqualModTimeDeterministic(t *testing.T) {
 // FuzzDecodeSpill: spill files are bytes from outside the process, so the
 // decoder must never panic, and anything it accepts must be a well-formed
 // envelope for the requested key whose result survives a re-encode.
-// Seeds: a real spill written by diskCache.store, a truncated copy, and a
-// copy with one byte of the checksum flipped.
+// Seeds: a real spill written by diskCache.store, its first half, a copy
+// with one byte of the checksum flipped, an empty file, and zeros of the
+// spill's length. The half, the empty file and the zeros are the shapes
+// an unsynced rename can leave after an OS crash.
 func FuzzDecodeSpill(f *testing.F) {
 	req := Request{Mix: "C", Metrics: true}
 	if err := req.Normalize(); err != nil {
@@ -311,6 +315,8 @@ func FuzzDecodeSpill(f *testing.F) {
 	f.Add(key, spill)
 	f.Add(key, spill[:len(spill)/2])
 	f.Add(key, flipped)
+	f.Add(key, []byte{})
+	f.Add(key, make([]byte, len(spill)))
 
 	f.Fuzz(func(t *testing.T, key string, b []byte) {
 		got, ok := decodeSpill(key, b)
@@ -340,4 +346,170 @@ func FuzzDecodeSpill(f *testing.F) {
 			t.Fatalf("round trip changed the result:\nhave %s\nwant %s (err %v)", have, want, err)
 		}
 	})
+}
+
+// TestTornSpillFilesRejected: spill files are written without an fsync,
+// so after an OS crash a renamed file can come back empty, cut short, or
+// as zeros of the right length. Each such file under a valid final name
+// is one verified miss: /run re-simulates and answers the correct result,
+// the bad load is counted, and the torn bytes are replaced by the fresh
+// result's spill.
+func TestTornSpillFilesRejected(t *testing.T) {
+	dir := t.TempDir()
+	var execs atomic.Int32
+	_, ts := newDiskServer(t, dir, 8, &execs)
+	const body = `{"mix":"CDH"}`
+	if resp, b := post(t, ts.URL, body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("seed: status=%d body=%s", resp.StatusCode, b)
+	}
+	ts.Close()
+	req := Request{Mix: "CDH"}
+	if err := req.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, req.Digest()+spillExt)
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		b    []byte
+	}{
+		{"empty", nil},
+		{"first half", whole[:len(whole)/2]},
+		{"zeros", make([]byte, len(whole))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(path, tc.b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			execs.Store(0)
+			s, ts := newDiskServer(t, dir, 8, &execs)
+			resp, b := post(t, ts.URL, body)
+			src, res := decodeEnvelope(t, b)
+			if resp.StatusCode != http.StatusOK || src != srcRun || res.Text != "stub:CDH" {
+				t.Fatalf("torn read: status=%d source=%q text=%q, want 200/%q/stub:CDH",
+					resp.StatusCode, src, res.Text, srcRun)
+			}
+			if execs.Load() != 1 {
+				t.Errorf("execs = %d, want 1 (re-simulation)", execs.Load())
+			}
+			if le := s.disk.loadErrors.Load(); le != 1 {
+				t.Errorf("load errors = %d, want 1", le)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(whole) {
+				t.Errorf("spill file after re-simulation = %q, want the fresh envelope", got)
+			}
+		})
+	}
+}
+
+// TestEncodeSpillMatchesMarshal pins the one-pass envelope to the bytes
+// json.Marshal writes for the same spillEnvelope, so spill files written
+// before and after the one-pass encoder stay interchangeable.
+func TestEncodeSpillMatchesMarshal(t *testing.T) {
+	req := Request{Mix: "CGL", Metrics: true}
+	if err := req.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := runSimulation(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := req.Digest()
+	full.Digest = key
+	for _, tc := range []struct {
+		name string
+		res  *Result
+	}{
+		{"metrics and cell", full},
+		{"cell only", &Result{Digest: key, MakespanMS: 1.5, Text: full.Text, Cell: full.Cell}},
+		{"escapes", &Result{
+			Digest:  key,
+			Text:    "<a href=\"x\">&amp;</a> \\ \t\n é 中   \x00",
+			Metrics: json.RawMessage(`{"k": "<&>", "v": [1, 2]}`),
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := encodeSpill(key, tc.res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, err := json.Marshal(tc.res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(payload)
+			want, err := json.Marshal(spillEnvelope{
+				Schema:  SpillSchema,
+				Digest:  key,
+				Sum:     hex.EncodeToString(sum[:]),
+				Payload: payload,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("one-pass envelope differs from json.Marshal:\nhave %s\nwant %s", got, want)
+			}
+			if _, ok := decodeSpill(key, got); !ok {
+				t.Fatal("decodeSpill rejects the one-pass envelope")
+			}
+		})
+	}
+	if _, err := encodeSpill("../etc/passwd", full); err == nil {
+		t.Error("encodeSpill accepted a key that is not a digest")
+	}
+}
+
+// BenchmarkDiskCacheStore measures the spill a cold /run waits on: each op
+// stores one ~3 KB result and evicts the file of an older one, in a
+// directory that holds a steady window of entries.
+func BenchmarkDiskCacheStore(b *testing.B) {
+	req := Request{Mix: "CGL"}
+	if err := req.Normalize(); err != nil {
+		b.Fatal(err)
+	}
+	res, err := runSimulation(context.Background(), req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res.Digest = req.Digest()
+	payload, err := json.Marshal(res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if pad := 3<<10 - len(payload); pad > 0 {
+		res.Text += strings.Repeat(".", pad)
+	}
+	d, _, err := openDiskCache(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const window = 8
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%064x", i)
+	}
+	for _, key := range keys[:window] {
+		d.store(key, res)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := window; i < b.N+window; i++ {
+		d.store(keys[i%len(keys)], res, keys[(i-window)%len(keys)])
+	}
+	b.StopTimer()
+	if n := d.spillErrors.Load(); n != 0 {
+		b.Fatalf("%d spill errors", n)
+	}
+	if n := d.entries(); n != window {
+		b.Fatalf("spill entries = %d, want %d", n, window)
+	}
 }

@@ -198,7 +198,7 @@ func (m *serviceMetrics) observeStage(stage string, d time.Duration) {
 	if !ok {
 		h = m.reg.BucketHistogram(
 			metrics.Label("relief_serve_stage_latency_ms", "stage", stage),
-			"Wall-clock latency of one serving pipeline stage, labelled by stage (admission, cache, disk, forward, breaker, run, stream), in milliseconds.",
+			"Wall-clock latency of one serving pipeline stage, labelled by stage (admission, cache, disk, forward, breaker, run, spill, stream), in milliseconds.",
 			stageBounds)
 		m.stages[stage] = h
 	}

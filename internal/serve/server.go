@@ -121,13 +121,16 @@ type flight struct {
 	waiters int
 
 	// Wall-clock trace timing, written by submit (enqueueAt) and the
-	// worker (startAt, runDur) before done closes; waiters read after done
-	// and copy the admission/run spans into their own traces. rec captures
-	// the kernel's simulated-time events when the creating request asked
-	// for them ("trace": true).
+	// worker (startAt, runDur, spillAt, spillDur) before done closes;
+	// waiters read after done and copy the admission/run/spill spans into
+	// their own traces. spillAt stays zero without a spill directory. rec
+	// captures the kernel's simulated-time events when the creating
+	// request asked for them ("trace": true).
 	enqueueAt time.Time
 	startAt   time.Time
 	runDur    time.Duration
+	spillAt   time.Time
+	spillDur  time.Duration
 	rec       *trace.Recorder
 }
 
@@ -225,18 +228,22 @@ func (s *Server) EnableDiskCache(dir string) (int, error) {
 }
 
 // storeResult caches one completed result and mirrors it write-through to
-// the spill directory, deleting the files of any evicted entries.
-func (s *Server) storeResult(key string, res *Result) {
+// the spill directory, deleting the files of any evicted entries. It
+// returns when the spill started and how long it took, both zero without
+// a spill directory; the duration also feeds the spill stage histogram.
+func (s *Server) storeResult(key string, res *Result) (time.Time, time.Duration) {
 	s.mu.Lock()
 	evicted := s.cache.add(key, res)
 	d := s.disk
 	s.mu.Unlock()
-	if d != nil {
-		// Evictions first, so the store's own over-cap safety prune (which
-		// works by recency, not LRU order) has nothing left to do.
-		d.remove(evicted...)
-		d.store(key, res)
+	if d == nil {
+		return time.Time{}, 0
 	}
+	start := time.Now()
+	d.store(key, res, evicted...)
+	dur := time.Since(start)
+	s.svc.observeStage(stageSpill, dur)
+	return start, dur
 }
 
 // cachedResult answers key from the memory LRU or, on a miss, from the
@@ -357,7 +364,7 @@ func (s *Server) worker() {
 			res.Digest = fl.key
 		}
 		if err == nil {
-			s.storeResult(fl.key, res)
+			fl.spillAt, fl.spillDur = s.storeResult(fl.key, res)
 		}
 		s.mu.Lock()
 		delete(s.flights, fl.key)

@@ -24,6 +24,7 @@ const (
 	stageForward   = "forward"   // request forwarded to ring owner
 	stageBreaker   = "breaker"   // open-breaker fast-fail (no network)
 	stageRun       = "run"       // local kernel execution
+	stageSpill     = "spill"     // spill-directory write and eviction unlinks
 	stageStream    = "stream"    // sweep NDJSON delivery
 )
 
@@ -88,16 +89,20 @@ func (s *Server) finishTrace(tr *svctrace.Trace, path string) {
 }
 
 // attachFlightSpans copies the shared flight's timing onto one waiter's
-// trace: the admission wait (enqueue to worker pickup) and the kernel run.
-// Joined waiters each get their own copy — the spans describe the one
-// execution they all waited on. Kernel events captured for a "trace": true
-// request ride along.
+// trace: the admission wait (enqueue to worker pickup), the kernel run
+// and, with a spill directory, the result's spill. Joined waiters each
+// get their own copy — the spans describe the one execution they all
+// waited on. Kernel events captured for a "trace": true request ride
+// along.
 func attachFlightSpans(tr *svctrace.Trace, fl *flight) {
 	if tr == nil || fl.startAt.IsZero() {
 		return
 	}
 	tr.AddSpan(stageAdmission, fl.enqueueAt, fl.startAt.Sub(fl.enqueueAt), "digest", fl.key)
 	tr.AddSpan(stageRun, fl.startAt, fl.runDur, "digest", fl.key)
+	if !fl.spillAt.IsZero() {
+		tr.AddSpan(stageSpill, fl.spillAt, fl.spillDur, "digest", fl.key)
+	}
 	if fl.rec != nil {
 		tr.AttachKernel(fl.rec.Events())
 	}

@@ -193,6 +193,52 @@ func TestTraceDiskHitEvent(t *testing.T) {
 	}
 }
 
+// TestSpillStage: with a spill directory, a cold /run's spill (eviction
+// unlinks and the result's write) is one sample of the spill stage
+// histogram and a spill span in the request's trace; without one there is
+// neither.
+func TestSpillStage(t *testing.T) {
+	const series = `relief_serve_stage_latency_ms_count{stage="spill"}`
+	var execs atomic.Int32
+	_, disk := newDiskServer(t, t.TempDir(), 8, &execs)
+	resp, b := post(t, disk.URL, `{"mix":"CGL"}`)
+	if src, _ := decodeEnvelope(t, b); resp.StatusCode != http.StatusOK || src != srcRun {
+		t.Fatalf("cold run: status=%d source=%q body=%s", resp.StatusCode, src, b)
+	}
+	if got := metricValue(t, disk.URL, series); got != 1 {
+		t.Errorf("%s = %v, want 1", series, got)
+	}
+	doc := getTraceDoc(t, disk.URL, resp.Header.Get(svctrace.Header))
+	sp := findSpan(doc, stageSpill)
+	if sp == nil {
+		t.Fatalf("no %q span (spans: %+v)", stageSpill, doc.Spans)
+	}
+	if run := findSpan(doc, stageRun); run == nil || sp.StartUS < run.StartUS+run.DurUS {
+		t.Errorf("spill span %+v does not follow the run span %+v", sp, run)
+	}
+
+	memOnly := newTS(t, New(Config{Workers: 2, Runner: countingStub(&execs)}))
+	resp, b = post(t, memOnly, `{"mix":"CGL"}`)
+	if src, _ := decodeEnvelope(t, b); resp.StatusCode != http.StatusOK || src != srcRun {
+		t.Fatalf("memory-only cold run: status=%d source=%q body=%s", resp.StatusCode, src, b)
+	}
+	mresp, err := http.Get(memOnly + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	mb, err := io.ReadAll(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(mb), `stage="spill"`) {
+		t.Error("memory-only server exports a spill stage series")
+	}
+	if sp := findSpan(getTraceDoc(t, memOnly, resp.Header.Get(svctrace.Header)), stageSpill); sp != nil {
+		t.Errorf("memory-only server traced a spill span: %+v", sp)
+	}
+}
+
 // TestTracePropagatesAcrossForward: a request hitting the non-owner under a
 // client-supplied trace ID is forwarded under the same ID, so both replicas
 // retain a /trace/{id} document — the entry side with the forward span, the

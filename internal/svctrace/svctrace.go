@@ -162,8 +162,11 @@ type Trace struct {
 }
 
 // New starts a trace. The caller supplies the ID (minted or propagated).
+// The span list starts with room for one request's stages (a cold /run
+// records cache, disk, admission, run and spill), so a request's spans
+// cost one slice, not a growth per append.
 func New(id string) *Trace {
-	return &Trace{id: id, start: time.Now()}
+	return &Trace{id: id, start: time.Now(), spans: make([]*Span, 0, 6)}
 }
 
 // ID returns the trace ID ("" on nil).
